@@ -23,6 +23,10 @@ from .threshold import strong_threshold
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2
 
+#: what ``SupportCert.work`` counts for each certification method
+_WORK_UNITS = {"vertices": "vertices scored", "patterns": "sign-pattern LPs solved",
+               "mc": "directions sampled"}
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors exit with the config error code."""
@@ -117,6 +121,7 @@ def _cmd_certify(args) -> int:
     print(f"support: {list(cert.support)}")
     print(f"verdict: {cert.verdict}")
     print(f"worst_gap: {cert.worst_gap:.6g}")
+    print(f"method: {cert.method} ({cert.work} {_WORK_UNITS[cert.method]})")
     if cert.witness is not None:
         print("witness: " + " ".join(f"{v:.6g}" for v in cert.witness))
     return EXIT_OK

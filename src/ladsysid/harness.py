@@ -144,8 +144,8 @@ def _draw_trial(s: Scenario, seed: int):
 def run_trial(s: Scenario, seed: int, trial_index: int = 0) -> TrialRecord:
     """Draw one instance of the scenario and run every selected estimator.
 
-    Solver errors are recorded in the per-estimator status instead of
-    aborting the sweep.
+    Solver errors, typed or raised by numpy's linear algebra, are recorded
+    in the per-estimator status instead of aborting the sweep.
     """
     H, x, e, w = _draw_trial(s, seed)
     y = H.entries @ x + e + w
@@ -164,7 +164,7 @@ def run_trial(s: Scenario, seed: int, trial_index: int = 0) -> TrialRecord:
                 status=est.status,
                 wall_ms=wall,
             ))
-        except LadSysIdError as exc:
+        except (LadSysIdError, np.linalg.LinAlgError) as exc:
             wall = (time.perf_counter() - t0) * 1e3
             runs.append(EstimatorRun(
                 estimator=name,

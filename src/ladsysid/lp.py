@@ -47,6 +47,9 @@ class LpResult:
     objective: Optional[float] = None
     ray: Optional[np.ndarray] = None  # feasible unbounded direction, original variables
     iterations: int = 0
+    #: row multipliers c_B B^-1 of the final basis, inequality rows first, for
+    #: the minimized objective (-c under sense="max"); set when optimal
+    y: Optional[np.ndarray] = None
 
 
 class _BoundedSimplex:
@@ -266,4 +269,4 @@ def solve_lp(problem: LpProblem, max_iter: Optional[int] = None) -> LpResult:
         return LpResult(status="iteration_limit", x=x,
                         objective=float(c @ x), iterations=sx.iterations)
     return LpResult(status="optimal", x=x, objective=float(c @ x),
-                    iterations=sx.iterations)
+                    iterations=sx.iterations, y=phase2_cost[sx.basis] @ sx.binv)

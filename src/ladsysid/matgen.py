@@ -47,9 +47,6 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
-_rng = rng_from_seed
-
-
 # ---------------------------------------------------------------------------
 # input sequences and the regressor matrix
 # ---------------------------------------------------------------------------
@@ -117,7 +114,7 @@ def sample_input(dist: InputDist, n: int, m: int, seed: int) -> InputSequence:
     """Draw the n+m-1 i.i.d. input samples for an n-by-m regressor."""
     if m < 1 or n < m:
         raise DimensionError(f"need n >= m >= 1, got n={n}, m={m}")
-    rng = _rng(seed)
+    rng = rng_from_seed(seed)
     size = n + m - 1
     if dist.kind == "gaussian":
         values = dist.sigma * rng.standard_normal(size)
@@ -201,7 +198,7 @@ def sample_noise(spec: NoiseSpec, n: int) -> np.ndarray:
         raise DimensionError(f"need n >= 0, got {n}")
     if spec.kind == "none":
         return np.zeros(n)
-    rng = _rng(spec.seed)
+    rng = rng_from_seed(spec.seed)
     if spec.kind == "gaussian":
         return spec.sigma * rng.standard_normal(n)
     if spec.kind == "gamma":
@@ -274,7 +271,7 @@ def sample_outliers(spec: OutlierSpec, n: int) -> np.ndarray:
     """
     if n < 0:
         raise DimensionError(f"need n >= 0, got {n}")
-    rng = _rng(spec.seed)
+    rng = rng_from_seed(spec.seed)
     if spec.count_model == "fixed":
         k = spec.k
     else:

@@ -1,7 +1,10 @@
 """Independent oracles shared by the unit and acceptance suites."""
 
+import itertools
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import linprog
 
 from ladsysid import InputDist, build_regressor, lad_estimate, sample_input
 
@@ -75,3 +78,30 @@ def witness_attack_defeats_lad(H, K, witness, seed, scale=1e3):
         if np.linalg.norm(est.x_hat - x) > 1e-6 * np.linalg.norm(x):
             return True
     return False
+
+
+def highs_pattern_best(H, K):
+    """max ||(Hz)_K||_1 s.t. ||(Hz)_Kbar||_1 <= 1 by HiGHS, one primal LP per
+    sign pattern on K (inf when some pattern is unbounded)."""
+    A = H.entries if hasattr(H, "entries") else np.asarray(H, dtype=float)
+    n, m = A.shape
+    on = np.zeros(n, dtype=bool)
+    on[list(K)] = True
+    hk, hc = A[on], A[~on]
+    nc = hc.shape[0]
+    eye = np.eye(nc)
+    a_ub = np.vstack([np.hstack([hc, -eye]), np.hstack([-hc, -eye]),
+                      np.concatenate([np.zeros(m), np.ones(nc)])[None, :]])
+    b_ub = np.zeros(2 * nc + 1)
+    b_ub[-1] = 1.0
+    bounds = [(None, None)] * m + [(0, None)] * nc
+    best = -np.inf
+    for tail in itertools.product((1.0, -1.0), repeat=len(K) - 1):
+        sigma = np.array((1.0,) + tail)
+        res = linprog(-np.concatenate([sigma @ hk, np.zeros(nc)]), A_ub=a_ub,
+                      b_ub=b_ub, bounds=bounds, method="highs")
+        if res.status == 3:
+            return np.inf
+        assert res.status == 0, res.message
+        best = max(best, -res.fun)
+    return best

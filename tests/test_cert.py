@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import ladsysid.cert
 from ladsysid import (DimensionError, InputDist, Magnitude, SupportSizeError,
                       balance_gap, certify_support_exact, certify_support_mc,
                       concentration_diagnostic, empirical_recovery_rate,
                       expected_gain)
 from oracles import (direction_grid_min_gap, gain_quadrature, gauss_toeplitz,
-                     recovery_probe, witness_attack_defeats_lad)
+                     highs_pattern_best, recovery_probe,
+                     witness_attack_defeats_lad)
 
 ONES_COLUMN = np.array([[1.0], [1.0], [1.0]])
 SPIKE_COLUMN = np.array([[1.0], [0.0], [0.0]])
@@ -94,6 +96,64 @@ class TestExactCertifier:
         assert seen["certified"] > 0 and seen["falsified"] > 0
 
 
+class TestExactMethods:
+    def test_pattern_lps_match_highs_optimum(self):
+        # an instance the general-form pattern LPs once solved to 0.86074
+        H = gauss_toeplitz(60, 5, seed=7)
+        K = [3, 20, 41]
+        cert = certify_support_exact(H, K)
+        assert (cert.method, cert.work) == ("patterns", 4)
+        assert cert.verdict == "certified"
+        assert cert.worst_gap == pytest.approx(1.0 - highs_pattern_best(H, K), abs=1e-9)
+        assert cert.worst_gap == pytest.approx(0.8621509968297223, abs=1e-9)
+
+    def test_size_rule_picks_vertices(self):
+        cert = certify_support_exact(gauss_toeplitz(24, 2, seed=93),
+                                     [0, 3, 5, 8, 10, 13, 15, 18, 20, 23])
+        assert (cert.method, cert.work) == ("vertices", 14)
+
+    @pytest.mark.parametrize("method,per_lp", [("vertices", np.inf), ("patterns", 0)])
+    def test_each_method_matches_highs(self, monkeypatch, method, per_lp):
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", per_lp)
+        rng = np.random.default_rng(2024)
+        seen = {"certified": 0, "falsified": 0}
+        for i in range(40):
+            m = 1 + i % 5
+            n = int(rng.integers(m + 4, 8 + 5 * m))
+            k = int(rng.integers(1, 7))
+            H = gauss_toeplitz(n, m, seed=20_000 + i)
+            K = sorted(rng.choice(n, size=k, replace=False).tolist())
+            cert = certify_support_exact(H, K)
+            best = highs_pattern_best(H, K)
+            assert cert.method == method
+            seen[cert.verdict] += 1
+            assert cert.verdict == ("certified" if best < 1.0 - 1e-8 else "falsified"), (i, K)
+            assert cert.worst_gap == pytest.approx(1.0 - best, abs=1e-9 * max(1.0, best)), (i, K)
+            if cert.verdict == "falsified":
+                assert np.linalg.norm(cert.witness) == pytest.approx(1.0)
+                assert balance_gap(H, K, cert.witness) <= 0.0, (i, K)
+        assert seen["certified"] > 5 and seen["falsified"] > 5
+
+    @pytest.mark.parametrize("per_lp", [np.inf, 0])
+    def test_zero_rows_on_support_certified(self, monkeypatch, per_lp):
+        # (Hz)_K = 0 for every z: each sign-pattern LP is unbounded in s
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", per_lp)
+        H = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        cert = certify_support_exact(H, [0, 4])
+        assert cert.verdict == "certified"
+        assert cert.worst_gap == 1.0
+
+    @pytest.mark.parametrize("K", [[0, 2, 3, 5], list(range(6))])
+    def test_rank_deficient_complement_falsified(self, K):
+        # fewer than m rows outside K: some z has (Hz)_Kbar = 0
+        H = gauss_toeplitz(6, 3, seed=12)
+        cert = certify_support_exact(H, K)
+        assert cert.verdict == "falsified"
+        assert cert.worst_gap == -np.inf
+        assert cert.work == 0
+        assert balance_gap(H, K, cert.witness) < 0.0
+
+
 class TestMcCertifier:
     def test_deterministic(self):
         H = gauss_toeplitz(20, 2, seed=5)
@@ -107,6 +167,7 @@ class TestMcCertifier:
         cert = certify_support_mc(H, [], trials=200, seed=1)
         assert cert.verdict == "unfalsified"
         assert cert.worst_gap > 0.0
+        assert (cert.method, cert.work) == ("mc", 200)
 
     def test_finds_violations_of_falsified_supports(self):
         cert = certify_support_mc(SPIKE_COLUMN, [0], trials=50, seed=2)

@@ -31,12 +31,15 @@ class TestCertify:
         assert rc == 0
         out = capsys.readouterr().out
         assert "verdict:" in out
+        assert "method: vertices (10 vertices scored)" in out
 
     def test_mc_method(self, capsys):
         rc = main(["certify", "--n", "15", "--m", "2", "--support", "1,2",
                    "--method", "mc", "--trials", "500", "--seed", "4"])
         assert rc == 0
-        assert "verdict:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verdict:" in out
+        assert "method: mc (500 directions sampled)" in out
 
     def test_cap_exceeded_is_config_error(self, capsys):
         support = ",".join(str(i) for i in range(21))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ladsysid.harness
 from ladsysid import (ConfigError, ExperimentConfig, InputDist, Magnitude,
                       NoiseSpec, OutlierSpec, Scenario, SpecError, TrialRow,
                       XSource, config_from_dict, emit_csv, consistency_config,
@@ -91,6 +92,20 @@ class TestRunTrial:
         for run in rec.runs:
             assert run.status == "error:SingularSystemError"
             assert np.isnan(run.error_l2)
+
+    def test_linalg_error_recorded_and_sweep_completes(self, monkeypatch):
+        def singular_pivot(H, y):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(ladsysid.harness._ESTIMATORS, "lad", singular_pivot)
+        res = run_experiment(ExperimentConfig(scenario=clean_scenario(), n_grid=[30, 40],
+                                              trials_per_point=2, master_seed=3))
+        assert len(res.records) == 4
+        for rec in res.records:
+            by = {r.estimator: r for r in rec.runs}
+            assert by["lad"].status == "error:LinAlgError"
+            assert np.isnan(by["lad"].error_l2)
+            assert by["ls"].status == "optimal"
 
     def test_fixed_x_source(self):
         s = Scenario(

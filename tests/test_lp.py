@@ -134,6 +134,9 @@ class TestVertexEnumerationOracle:
             # basic feasible solution: constraints hold, bounds hold
             assert np.allclose(a @ res.x, b, atol=1e-8)
             assert (res.x >= -1e-9).all()
+            # the row multipliers are dual feasible and close the duality gap
+            assert (c - a.T @ res.y >= -1e-8).all()
+            assert float(b @ res.y) == pytest.approx(res.objective, rel=1e-8, abs=1e-8)
         assert solved > 100
 
     def test_random_bounded_boxes_match_enumeration(self):
