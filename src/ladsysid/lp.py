@@ -6,7 +6,11 @@ arbitrary finite or infinite bounds; nonbasic variables rest at a finite bound
 (or at zero when free).  Pivoting is Dantzig's largest-violation rule, with
 Bland's smallest-index rule engaged while steps are degenerate so the method
 cannot cycle.  Problem sizes here are small (at most a few thousand variables),
-so the basis inverse is kept explicitly and refreshed by row reduction.
+so the basis inverse is kept explicitly and refreshed by row reduction.  That
+inverse drifts over hundreds of pivots, so an optimal exit is re-checked
+against the original rows and bounds; on a violation the inverse is rebuilt
+from the basis columns and phase 2 resumes, and a point still infeasible
+after that is reported as ``inaccurate``, never ``optimal``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class LpProblem:
 
 @dataclass
 class LpResult:
-    status: str                     # optimal | infeasible | unbounded | iteration_limit
+    status: str                     # optimal | infeasible | unbounded | iteration_limit | inaccurate
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     ray: Optional[np.ndarray] = None  # feasible unbounded direction, original variables
@@ -113,6 +117,10 @@ class _BoundedSimplex:
 
     def pin_artificials(self):
         self.hi_ext[self.nv:] = 0.0
+
+    def refactor(self):
+        """Recompute the basis inverse from the basis columns."""
+        self.binv = np.linalg.inv(np.column_stack([self._col(j) for j in self.basis]))
 
     # -- core loop ----------------------------------------------------------
 
@@ -203,6 +211,12 @@ class _BoundedSimplex:
         return ray[: self.nv]
 
 
+def _violation(a, b, lo, hi, v) -> float:
+    """Largest row residual or bound excess of v in a v = b, lo <= v <= hi."""
+    return max(float(np.abs(a @ v - b).max(initial=0.0)),
+               float((lo - v).max(initial=0.0)), float((v - hi).max(initial=0.0)))
+
+
 def solve_lp(problem: LpProblem, max_iter: Optional[int] = None) -> LpResult:
     """Solve an LP, returning an optimal basic solution when one exists."""
     c = np.atleast_1d(np.asarray(problem.c, dtype=float))
@@ -262,11 +276,20 @@ def solve_lp(problem: LpProblem, max_iter: Optional[int] = None) -> LpResult:
     phase2_cost = np.concatenate([c_full, np.zeros(sx.q)])
     status = sx.run(phase2_cost, max_iter + sx.iterations)
     v, _ = sx.solution()
+    feas_tol = 1e-9 * feas_scale
+    if status == "optimal" and _violation(a_full, b_full, lo_full, hi_full, v) > feas_tol:
+        # the basis inverse, updated by row reduction at every pivot, has
+        # drifted: rebuild it and let phase 2 finish from the same basis
+        sx.refactor()
+        status = sx.run(phase2_cost, max_iter + sx.iterations)
+        v, _ = sx.solution()
+        if status == "optimal" and _violation(a_full, b_full, lo_full, hi_full, v) > feas_tol:
+            status = "inaccurate"
     x = v[:nx]
     if status == "unbounded":
         return LpResult(status="unbounded", ray=sx.ray[:nx], iterations=sx.iterations)
-    if status == "iteration_limit":
-        return LpResult(status="iteration_limit", x=x,
+    if status != "optimal":
+        return LpResult(status=status, x=x,
                         objective=float(c @ x), iterations=sx.iterations)
     return LpResult(status="optimal", x=x, objective=float(c @ x),
                     iterations=sx.iterations, y=phase2_cost[sx.basis] @ sx.binv)

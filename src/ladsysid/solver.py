@@ -3,7 +3,11 @@
 ``lad_estimate`` runs a primal simplex specialized to the LAD geometry: every
 iterate is a vertex interpolating m observations (the basis rows), and a move
 swaps one basis row along the steepest descent edge, passing through multiple
-residual sign changes per step.  Nonbasic subgradient signs are carried
+residual sign changes per step.  The line search along that edge walks the
+breakpoints where residuals cross zero in increasing order until the slope
+turns nonnegative; it rarely walks far, so the first breakpoints are selected
+with ``np.partition`` and only they are sorted, the selection widening
+geometrically when the walk needs more.  Nonbasic subgradient signs are carried
 explicitly so rows whose residual is exactly zero keep a valid sign, and
 Bland's smallest-index rule takes over while steps are degenerate.  Because
 the noiseless outlier-correction problems this package targets are massively
@@ -90,6 +94,44 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
             and float(np.abs(At @ w - target).max()) <= 1e-8 * scale)
 
 
+def _leaving_index(t: np.ndarray, abs_hd: np.ndarray, slope: float, bland: bool,
+                   ztol: float) -> int:
+    """Position of the leaving row among the candidate rows (ascending row order).
+
+    ``t`` holds each candidate's breakpoint along the edge and ``abs_hd`` its
+    |h_i'd|; the directional derivative starts at ``slope`` (< 0) and rises by
+    2|h_i'd| at each breakpoint.  Under Bland's rule the smallest row whose
+    breakpoint is within ``ztol`` of the first one leaves.  Otherwise the line
+    search stops at the first breakpoint, in (t, row) order, where the slope
+    turns nonnegative (up to 1e-12), or at the last one.
+
+    The search rarely walks far, so only a prefix is selected by
+    ``np.partition`` and sorted; it holds every breakpoint tied with its
+    largest and widens 4x until the search stops inside it.  The prefix is
+    sorted by numpy's default (unstable, several times faster) argsort, and
+    exact ties, rare off degenerate vertices, are then put in row order.  The
+    slope is accumulated left to right, exactly as a walk over the fully
+    sorted breakpoints would.
+    """
+    if bland:
+        return int(np.argmax(t <= t.min() + ztol))
+    k = 128
+    while True:
+        k = min(k, t.size)
+        head = np.flatnonzero(t <= np.partition(t, k - 1)[k - 1])
+        order = np.argsort(t[head])
+        ts = t[head[order]]
+        if (ts[1:] == ts[:-1]).any():
+            order = order[np.lexsort((order, ts))]
+        head = head[order]
+        stops = np.cumsum(np.concatenate(([slope], 2.0 * abs_hd[head])))[1:] >= -1e-12
+        if stops.any():
+            return int(head[np.argmax(stops)])
+        if k == t.size:
+            return int(head[-1])
+        k *= 4
+
+
 def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     """Minimize the sum of absolute residuals ||y - Hx||_1.
 
@@ -164,35 +206,21 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
 
         abs_hd = np.abs(hd)
         movable = abs_hd > 1e-11 * max(1.0, float(abs_hd.max()))
-        movable[basis] = False
-
-        zeroish = np.abs(r) <= ztol
-        t_i = np.full(n, np.inf)
-        crossing = movable & ~zeroish & (np.sign(r) == np.sign(hd))
-        t_i[crossing] = r[crossing] / hd[crossing]
-        blocking_zero = movable & zeroish & (sigma * hd > 0)
-        t_i[blocking_zero] = 0.0
-        cand_rows = np.nonzero(np.isfinite(t_i))[0]
+        # rows whose residual reaches zero along d: a nonzero residual of the
+        # sign of hd, or a zero residual whose subgradient sign is that of hd
+        # (it blocks at t = 0)
+        cand_rows = np.flatnonzero(
+            movable & ((np.where(zero_off, sigma, r) > 0) == (hd > 0)))
         if cand_rows.size == 0:
             # cannot happen for full-rank LAD (objective grows along any ray)
             status = "degenerate_fallback"
             break
+        t = r[cand_rows] / hd[cand_rows]
+        t[zero_off[cand_rows]] = 0.0
 
-        if bland:
-            t_min = float(t_i[cand_rows].min())
-            ties = cand_rows[t_i[cand_rows] <= t_min + ztol]
-            leave = int(ties.min())
-        else:
-            order = np.argsort(t_i[cand_rows], kind="stable")
-            rows_sorted = cand_rows[order]
-            slope = 1.0 - abs(lam[p])
-            leave = int(rows_sorted[-1])
-            for i in rows_sorted:
-                slope += 2.0 * abs_hd[i]
-                if slope >= -1e-12:
-                    leave = int(i)
-                    break
-        t_star = float(t_i[leave])
+        j = _leaving_index(t, abs_hd[cand_rows], 1.0 - abs(lam[p]), bland, ztol)
+        leave = int(cand_rows[j])
+        t_star = float(t[j])
 
         degenerate_step = t_star * abs_hd[leave] <= ztol
         bland = degenerate_step
@@ -203,8 +231,7 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
         sigma[b_row] = -s
         x = np.linalg.solve(A[basis], y[basis])
         r = y - A @ x
-        moved = np.abs(r) > ztol
-        sigma[moved] = np.sign(r[moved])
+        np.copysign(1.0, r, out=sigma, where=np.abs(r) > ztol)
 
     residuals = y - A @ x
     return Estimate(

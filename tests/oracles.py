@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import scipy.sparse
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
@@ -105,3 +106,13 @@ def highs_pattern_best(H, K):
         assert res.status == 0, res.message
         best = max(best, -res.fun)
     return best
+
+
+def highs_lad_objective(H, y):
+    """min ||y - Hx||_1 by HiGHS on the dual LP max y'u s.t. H'u = 0, |u| <= 1."""
+    A = H.entries if hasattr(H, "entries") else np.asarray(H, dtype=float)
+    res = linprog(-np.asarray(y, dtype=float), A_eq=scipy.sparse.csr_array(A.T),
+                  b_eq=np.zeros(A.shape[1]), bounds=(-1.0, 1.0), method="highs-ipm",
+                  options={"presolve": False})
+    assert res.status == 0, res.message
+    return -res.fun

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import ladsysid.lp
 from ladsysid import DimensionError, LpProblem, solve_lp
+from oracles import gauss_toeplitz
 
 
 def enumerate_vertices_standard_form(a, b, c):
@@ -159,3 +162,48 @@ class TestVertexEnumerationOracle:
             feasible, best = enumerate_vertices_standard_form(a_std, b_std, c_std)
             assert feasible
             assert res.objective == pytest.approx(best, rel=1e-8, abs=1e-8)
+
+
+class TestFinalFeasibilityCheck:
+    """The general-form sign-pattern LPs of an exact certification (n=60,
+    m=5, K={3,20,41}, Gaussian input seed 7) take 580-720 pivots; the basis
+    inverse kept by row reduction drifts so far over them that each one used
+    to end "optimal" at a point violating a row by 1e-3 to 2e-2."""
+
+    @staticmethod
+    def pattern_lps():
+        A = gauss_toeplitz(60, 5, seed=7).entries
+        K = [3, 20, 41]
+        comp = np.setdiff1d(np.arange(60), K)
+        hk, hc = A[K], A[comp]
+        nc, m = comp.size, 5
+        a_ub = np.zeros((2 * nc + 1, m + nc))
+        a_ub[:nc, :m] = hc
+        a_ub[:nc, m:] = -np.eye(nc)
+        a_ub[nc:2 * nc, :m] = -hc
+        a_ub[nc:2 * nc, m:] = -np.eye(nc)
+        a_ub[2 * nc, m:] = 1.0
+        b_ub = np.zeros(2 * nc + 1)
+        b_ub[2 * nc] = 1.0
+        bounds = [(None, None)] * m + [(0, None)] * nc
+        for tail in itertools.product((1.0, -1.0), repeat=len(K) - 1):
+            sigma = np.array((1.0,) + tail)
+            c = np.concatenate([sigma @ hk, np.zeros(nc)])
+            yield LpProblem(c=c, a_ub=a_ub, b_ub=b_ub, bounds=bounds, sense="max")
+
+    def test_pattern_lps_feasible_and_match_highs(self):
+        for prob in self.pattern_lps():
+            res = solve_lp(prob)
+            assert res.status == "optimal"
+            scale = max(1.0, float(np.abs(prob.b_ub).max()))
+            assert float((prob.a_ub @ res.x - prob.b_ub).max()) <= 1e-9 * scale
+            assert float(-res.x[5:].min()) <= 1e-9 * scale
+            highs = linprog(-prob.c, A_ub=prob.a_ub, b_ub=prob.b_ub,
+                            bounds=prob.bounds, method="highs")
+            assert highs.status == 0
+            assert res.objective == pytest.approx(-highs.fun, rel=1e-9)
+
+    def test_drift_that_survives_a_refactorization_is_not_optimal(self, monkeypatch):
+        monkeypatch.setattr(ladsysid.lp._BoundedSimplex, "refactor", lambda self: None)
+        statuses = {solve_lp(prob).status for prob in self.pattern_lps()}
+        assert statuses == {"inaccurate"}

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from ladsysid import (DimensionError, InputDist, SingularSystemError,
-                      build_regressor, lad_estimate, ls_estimate,
-                      sample_input, scenario_table1)
+                      build_regressor, consistency_scenario, derive_seed,
+                      lad_estimate, ls_estimate, sample_input, scenario_table1)
+from ladsysid.harness import _draw_trial
+from ladsysid.solver import _leaving_index
+from oracles import highs_lad_objective
 
 
 def lad_bruteforce_objective(H, y):
@@ -30,6 +34,21 @@ def random_instance(rng, n_max=8, m_max=2):
 
 def gauss_toeplitz(n, m, seed, sigma=1.0):
     return build_regressor(sample_input(InputDist.gaussian(sigma), n, m, seed), n, m)
+
+
+def walk_leaving_index(t, abs_hd, slope, bland, ztol):
+    """Reference ratio test: a stable argsort of every breakpoint, then a walk
+    over them (the selection-free form of ``solver._leaving_index``)."""
+    rows = np.arange(t.size)
+    if bland:
+        t_min = float(t.min())
+        return int(rows[t <= t_min + ztol].min())
+    order = np.argsort(t, kind="stable")
+    for i in order:
+        slope += 2.0 * abs_hd[i]
+        if slope >= -1e-12:
+            return int(i)
+    return int(order[-1])
 
 
 class TestTable1Golden:
@@ -105,6 +124,92 @@ class TestLadCorrectness:
         assert est.status == "optimal"
         assert np.linalg.norm(est.x_hat - x) <= 1e-6 * np.linalg.norm(x)
         assert est.objective == pytest.approx(np.abs(e).sum(), rel=1e-10)
+
+
+class TestLeavingRowSelection:
+    """``_leaving_index`` picks the same row as the full sort and walk."""
+
+    @staticmethod
+    def check(t, abs_hd, slope, bland=False, ztol=1e-9):
+        got = _leaving_index(t, abs_hd, slope, bland, ztol)
+        assert got == walk_leaving_index(t, abs_hd, slope, bland, ztol)
+        return got
+
+    @staticmethod
+    def random_case(rng):
+        size = int(np.exp(rng.uniform(0.0, np.log(3000.0))))
+        abs_hd = rng.exponential(size=size)
+        # stop anywhere along the walk, or (frac > 1) never
+        slope = -rng.uniform(0.0, 1.1) * 2.0 * float(abs_hd.sum())
+        return size, abs_hd, slope
+
+    def test_random_breakpoints(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            size, abs_hd, slope = self.random_case(rng)
+            self.check(rng.exponential(size=size), abs_hd, slope)
+
+    def test_exact_ties_and_zero_blocking_rows(self):
+        rng = np.random.default_rng(32)
+        for _ in range(1000):
+            size, abs_hd, slope = self.random_case(rng)
+            t = rng.integers(0, 1 + int(rng.integers(1, 20)), size=size).astype(float)
+            t[rng.random(size) < rng.uniform(0.0, 0.9)] = 0.0   # blocking rows
+            self.check(t, abs_hd, slope)
+
+    def test_slope_never_turns_returns_last_row(self):
+        rng = np.random.default_rng(33)
+        for size in (1, 2, 127, 128, 129, 600, 5000):
+            t = rng.integers(0, 50, size=size).astype(float)
+            abs_hd = rng.exponential(size=size)
+            slope = -2.0 * float(abs_hd.sum()) - 1.0
+            last = max(np.flatnonzero(t == t.max()))   # largest t, then largest row
+            assert self.check(t, abs_hd, slope) == last
+
+    def test_slope_within_1e12_of_zero_stops(self):
+        t = np.array([3.0, 1.0, 2.0])
+        abs_hd = np.array([1.0, 0.5, 0.25])
+        # rows 1 and 2 raise the slope by 1.5; every sum below is exact
+        assert self.check(t, abs_hd, -1.5) == 2
+        assert self.check(t, abs_hd, -1.5 - 2.0**-42) == 2    # ends at -2.3e-13
+        assert self.check(t, abs_hd, -1.5 - 2.0**-36) == 0    # ends at -1.5e-11
+
+    def test_single_candidate(self):
+        for slope in (-0.5, -10.0):
+            assert self.check(np.array([0.7]), np.array([1.0]), slope) == 0
+        assert self.check(np.array([0.7]), np.array([1.0]), -1.0, bland=True) == 0
+
+    def test_bland_takes_smallest_row_within_ztol_of_first_breakpoint(self):
+        t = np.array([0.5, 0.2 + 5e-10, 0.2, 0.2 + 2e-9, 0.1 + 1.0])
+        assert self.check(t, np.ones(5), -1.0, bland=True, ztol=1e-9) == 1
+        rng = np.random.default_rng(34)
+        for _ in range(1000):
+            size, abs_hd, slope = self.random_case(rng)
+            t = rng.integers(0, 4, size=size) * 1e-9 + rng.integers(0, 3, size=size)
+            self.check(t, abs_hd, slope, bland=True, ztol=float(rng.choice([0.0, 1e-9, 3e-9])))
+
+
+class TestLargeN:
+    """Three n=3000 consistency trials; iterations and x_hat bytes are frozen
+    from the ratio test as it stood with a full stable argsort per pivot."""
+
+    FROZEN = [
+        (23, "fce60826e67317f534ca0511720141a82ffef5999cdb2987872c54c70a98a3bb"),
+        (21, "76dfa0b647036d7b8aba7afd31a99e23852a9763af61463a9c4f5976bf32891b"),
+        (26, "7a6fc1cb01431b0f3501ba2e3cd090e60ccf2da4e686d0d72e4c193580a5092a"),
+    ]
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_consistency_gaussian_n3000(self, trial):
+        H, x, e, w = _draw_trial(consistency_scenario("gaussian", 3000),
+                                 derive_seed(0, 0, trial))
+        y = H.entries @ x + e + w
+        est = lad_estimate(H, y)
+        assert est.status == "optimal"
+        assert est.objective == pytest.approx(highs_lad_objective(H, y), rel=1e-9)
+        iterations, digest = self.FROZEN[trial]
+        assert est.iterations == iterations
+        assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
 
 
 class TestEstimateInvariants:
