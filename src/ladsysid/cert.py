@@ -53,9 +53,11 @@ SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 #: 3-9 us per vertex against 1.5-39 ms per sign-pattern LP (n = 30..500,
 #: m = 2..5, one BLAS thread), a ratio of 460-1900.
 _VERTEX_PER_LP = 1000
-#: Entries of the (directions x n) score matrix per batch, bounding the
-#: memory of vertex enumeration and of the randomized falsifier.
-_BATCH_ENTRIES = 2_000_000
+#: Entries of the (directions x n) score buffer per batch (1 MB of float64):
+#: vertex enumeration and the randomized falsifier score each batch in one
+#: buffer, allocated once per call, that stays in cache between the product,
+#: the absolute value and the column sums.
+_BATCH_ENTRIES = 131_072
 
 
 @dataclass
@@ -128,19 +130,18 @@ def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> Sup
     method = "vertices" if vertices <= _VERTEX_PER_LP * 2.0 ** (k - 1) else "patterns"
     if k == 0:
         return SupportCert(support, "certified", 1.0, method, 0)
-    on_k = np.zeros(n, dtype=bool)
-    on_k[idx] = True
-    hc = A[~on_k]
+    cidx = np.setdiff1d(np.arange(n), idx)
+    hc = A[cidx]
     if np.linalg.matrix_rank(hc) < m:
         # a direction with (Hz)_Kbar = 0 puts all of Hz on K
         z = np.linalg.svd(hc)[2][-1]
         return SupportCert(support, "falsified", -np.inf, method, 0, witness=z)
 
     if method == "vertices":
-        best, z = _vertex_max(A, on_k, hc)
+        best, z = _vertex_max(A, idx, cidx)
         work = vertices
     else:
-        best, z = _pattern_max(A, on_k, hc)
+        best, z = _pattern_max(A, idx, cidx)
         work = 2 ** (k - 1)
     worst_gap = 1.0 - best
     if worst_gap > margin:
@@ -149,35 +150,60 @@ def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> Sup
                        witness=z / np.linalg.norm(z))
 
 
-def _ratios(A, on_k, Z):
-    """||(Hz)_K||_1 / ||(Hz)_Kbar||_1 for each row z of Z."""
-    V = np.abs(Z @ A.T)
-    return V[:, on_k].sum(axis=1) / V[:, ~on_k].sum(axis=1)
+def _abs_sums(Z, A, buf, idx, rest):
+    """Row sums of |Z H'| over the columns ``idx`` and over ``rest``.
+
+    The product is written into the leading rows of ``buf`` and made
+    absolute in place; ``rest`` is the index array of Kbar, or
+    ``slice(None)`` for every column.
+    """
+    V = buf[:Z.shape[0]]
+    np.matmul(Z, A.T, out=V)
+    np.abs(V, out=V)
+    return V[:, idx].sum(axis=1), V[:, rest].sum(axis=1)
 
 
-def _vertex_max(A, on_k, hc):
+def _batch_sizes(total: int, n: int) -> list:
+    """Sizes of the batches that score ``total`` directions against n rows.
+
+    A batch holds ``_BATCH_ENTRIES // n`` directions; a lone direction left
+    over after a full batch joins it, because numpy scores a single row by
+    a matrix-vector product and a pairwise column sum, which round
+    differently from a batch's matrix product and column sums.
+    """
+    size = max(1, _BATCH_ENTRIES // max(n, 1))
+    q, r = divmod(total, size)
+    sizes = [size] * q + [r] * (r > 0)
+    if r == 1 and q:
+        sizes[-2:] = [size + 1]
+    return sizes
+
+
+def _vertex_max(A, idx, cidx):
     """Largest ratio over the vertex directions of {||(Hz)_Kbar||_1 <= 1}.
 
     Each vertex is the null vector of m-1 rows of H_Kbar (a degenerate
     choice of rows still yields a feasible direction), taken from a batched
     SVD.  Returns the ratio and its direction.
     """
-    n = A.shape[0]
-    combos = itertools.combinations(range(hc.shape[0]), hc.shape[1] - 1)
-    batch = max(1, _BATCH_ENTRIES // n)
+    n, m = A.shape
+    hc = A[cidx]
+    combos = itertools.combinations(range(cidx.size), m - 1)
+    sizes = _batch_sizes(math.comb(cidx.size, m - 1), n)
+    buf = np.empty((max(sizes), n))
     best, best_z = -np.inf, None
-    while True:
-        rows = list(itertools.islice(combos, batch))
-        if not rows:
-            return best, best_z
-        Z = np.linalg.svd(hc[np.array(rows, dtype=np.intp)])[2][:, -1, :]
-        r = _ratios(A, on_k, Z)
+    for b in sizes:
+        rows = np.array(list(itertools.islice(combos, b)), dtype=np.intp)
+        Z = np.linalg.svd(hc[rows])[2][:, -1, :]
+        on, off = _abs_sums(Z, A, buf, idx, cidx)
+        r = on / off
         i = int(np.argmax(r))
         if r[i] > best:
             best, best_z = float(r[i]), Z[i]
+    return best, best_z
 
 
-def _pattern_max(A, on_k, hc):
+def _pattern_max(A, idx, cidx):
     """Largest ratio over the sign patterns of (Hz)_K, one dual LP each.
 
     Pattern sigma solves min -s s.t. H_Kbar' v - s H_K' sigma = 0,
@@ -185,13 +211,15 @@ def _pattern_max(A, on_k, hc):
     sigma'(Hz)_K = 1/s* on ||(Hz)_Kbar||_1 <= 1, and the ratio is recomputed
     from that direction.  Returns the ratio and its direction.
     """
-    nc, m = hc.shape
-    hk = A[on_k]
+    n, m = A.shape
+    hc, hk = A[cidx], A[idx]
+    nc = cidx.size
+    buf = np.empty((1, n))
     cost = np.zeros(nc + 1)
     cost[-1] = -1.0
     bounds = [(-1.0, 1.0)] * nc + [(0.0, None)]
     best, best_z = 0.0, None       # the ratio is never negative
-    for tail in itertools.product((1.0, -1.0), repeat=hk.shape[0] - 1):
+    for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
         sigma = np.array((1.0,) + tail)
         res = solve_lp(LpProblem(c=cost, a_eq=np.column_stack([hc.T, -(sigma @ hk)]),
                                  b_eq=np.zeros(m), bounds=bounds))
@@ -199,7 +227,8 @@ def _pattern_max(A, on_k, hc):
             continue               # H_K' sigma = 0: the pattern's objective is 0
         if res.status != "optimal":
             raise RuntimeError(f"certification LP ended with status {res.status}")
-        r = float(_ratios(A, on_k, res.y[None, :])[0])
+        on, off = _abs_sums(res.y[None, :], A, buf, idx, cidx)
+        r = float(on[0] / off[0])
         if r > best:
             best, best_z = r, res.y
     return best, best_z
@@ -209,36 +238,32 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     """Randomized falsifier: sample unit directions, report any violation.
 
     Never certifies -- a clean sweep only returns ``unfalsified``.  Directions
-    are normalized Gaussian vectors, i.e. uniform on the sphere.
+    are normalized Gaussian vectors, i.e. uniform on the sphere, drawn from
+    one Gaussian stream and scored in batches; the first minimum is kept.
     """
     if trials < 1:
         raise DimensionError(f"trials must be >= 1, got {trials}")
     A = _as_matrix(H)
     n, m = A.shape
     idx = _support_array(K, n)
-    on_k = np.zeros(n, dtype=bool)
-    on_k[idx] = True
 
     rng = rng_from_seed(seed)
     worst = np.inf
     worst_z = None
-    chunk = max(1, _BATCH_ENTRIES // max(n, 1))
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
+    sizes = _batch_sizes(trials, n)
+    buf = np.empty((max(sizes), n))
+    for b in sizes:
         Z = rng.standard_normal((b, m))
         norms = np.linalg.norm(Z, axis=1)
         norms[norms == 0] = 1.0
         Z /= norms[:, None]
-        V = np.abs(Z @ A.T)            # b x n
-        gaps = V.sum(axis=1) - 2.0 * V[:, on_k].sum(axis=1)
-        denom = V[:, on_k].sum(axis=1)
-        scaled = np.where(denom > 1e-300, gaps / np.maximum(denom, 1e-300), gaps)
+        on, total = _abs_sums(Z, A, buf, idx, slice(None))
+        gaps = total - 2.0 * on
+        scaled = np.where(on > 1e-300, gaps / np.maximum(on, 1e-300), gaps)
         i = int(np.argmin(scaled))
         if scaled[i] < worst:
             worst = float(scaled[i])
             worst_z = Z[i].copy()
-        done += b
 
     if worst <= 0.0:
         return SupportCert(_support_tuple(idx), "falsified", worst, "mc", trials,

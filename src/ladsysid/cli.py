@@ -128,8 +128,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    if args.m_min < 1 or args.m_max < args.m_min:
-        raise ConfigError("need 1 <= m-min <= m-max")
+    if not 1 <= args.m_min <= args.m_max <= 50:
+        raise ConfigError("need 1 <= m-min <= m-max <= 50")
     lines = ["m,beta_star,mu,delta,lhs"]
     for m in range(args.m_min, args.m_max + 1):
         res = strong_threshold(m)

@@ -6,6 +6,12 @@ negative by some (mu, delta) certificate: below that fraction, every
 outlier support of size beta*n is simultaneously correctable by the
 l1 estimator with probability approaching one.
 
+The search needs the inequality's minimum over the (mu, delta) grid at
+each trial beta.  Below 1/(2m-1) the tail bracket enters with a positive
+coefficient, so that minimum is exactly the value at each mu's smallest tail
+bracket (rounded + and x by a positive number are monotone), and the full
+grid is evaluated once, at beta*, for the witness.
+
 The normal CDF is evaluated through the complementary error function
 (``scipy.special.erfc``), Phi(t) = erfc(-t/sqrt(2))/2, accurate to a few
 ulp over the whole real line; the log Gaussian tail switches to the
@@ -133,22 +139,31 @@ def strong_threshold(m: int, beta_tol: float = 1e-6, mu_points: int = 200,
     and bisects to ``beta_tol``.  The search is confined to
     beta < 1/(2m - 1): beyond that the inequality's clean-row count is
     nonpositive and the bound is vacuous.
+
+    On that range the tail bracket's coefficient 1/(2m-1) - beta is
+    positive, so for each mu the inequality is nondecreasing in the tail
+    bracket, and so is its rounded value: rounded + and x by a positive
+    number are monotone.  The grid minimum over delta is therefore exactly
+    the value at the smallest tail bracket of that mu, and the search runs
+    on one value per mu.  Only the witness comes from the full (mu, delta)
+    grid at beta*, with the first grid minimum in row-major order.
     """
     if not 1 <= m <= 50:
         raise ValueError(f"m must lie in 1..50, got {m}")
     mu_grid = np.logspace(-2, 2, mu_points)
     dl_grid = np.linspace(0.01, 0.99, delta_points)
-    pos = _phi_bracket(m, mu_grid)[:, None]          # mu x 1
+    pos = _phi_bracket(m, mu_grid)                            # mu
     tail = _tail_bracket(mu_grid[:, None], dl_grid[None, :])  # mu x delta
+    tail_min = tail.min(axis=1)                               # mu
     coef = 1.0 / (2 * m - 1)
     beta_max = coef * (1.0 - 1e-9)
 
     def min_lhs(beta):
-        vals = entropy(beta) + m * beta * pos + (coef - beta) * tail
-        return float(vals.min()), int(np.argmin(vals))
+        return float((entropy(beta) + m * beta * pos + (coef - beta) * tail_min).min())
 
     coarse = np.geomspace(1e-7, beta_max, coarse_points)
-    neg = np.array([min_lhs(b)[0] < 0 for b in coarse])
+    neg = (entropy(coarse)[:, None] + (m * coarse)[:, None] * pos
+           + (coef - coarse)[:, None] * tail_min).min(axis=1) < 0
     if not neg.any():
         raise ThresholdSearchError(
             f"no (beta, mu, delta) with a negative inequality value for m={m}; "
@@ -156,27 +171,27 @@ def strong_threshold(m: int, beta_tol: float = 1e-6, mu_points: int = 200,
     last = int(np.nonzero(neg)[0].max())
     lo = coarse[last]
     hi = coarse[last + 1] if last + 1 < coarse_points else beta_max
-    while min_lhs(hi)[0] < 0 and hi < beta_max:
+    while min_lhs(hi) < 0 and hi < beta_max:
         lo = hi
         hi = min(2 * hi, beta_max)
-    if min_lhs(hi)[0] < 0:    # negative all the way to the feasible edge
+    if min_lhs(hi) < 0:       # negative all the way to the feasible edge
         lo = hi
     while hi - lo > beta_tol:
         mid = 0.5 * (lo + hi)
-        if min_lhs(mid)[0] < 0:
+        if min_lhs(mid) < 0:
             lo = mid
         else:
             hi = mid
 
     beta_star = lo
-    value, flat = min_lhs(beta_star)
-    i_mu, i_dl = np.unravel_index(flat, (mu_points, delta_points))
+    vals = entropy(beta_star) + m * beta_star * pos[:, None] + (coef - beta_star) * tail
+    i_mu, i_dl = np.unravel_index(int(np.argmin(vals)), (mu_points, delta_points))
     return ThresholdResult(
         m=int(m),
         beta_star=float(beta_star),
         mu=float(mu_grid[i_mu]),
         delta=float(dl_grid[i_dl]),
-        lhs_value=value,
+        lhs_value=float(vals.min()),
         grid_meta={
             "mu_points": mu_points,
             "delta_points": delta_points,

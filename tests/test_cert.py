@@ -3,15 +3,48 @@ import pytest
 
 import ladsysid.cert
 from ladsysid import (DimensionError, InputDist, Magnitude, SupportSizeError,
-                      balance_gap, certify_support_exact, certify_support_mc,
-                      concentration_diagnostic, empirical_recovery_rate,
-                      expected_gain)
+                      balance_gap, build_regressor, certify_support_exact,
+                      certify_support_mc, concentration_diagnostic,
+                      empirical_recovery_rate, expected_gain, sample_input)
+from ladsysid.matgen import rng_from_seed
+from ladsysid.solver import _as_matrix
 from oracles import (direction_grid_min_gap, gain_quadrature, gauss_toeplitz,
                      highs_pattern_best, recovery_probe,
                      witness_attack_defeats_lad)
 
 ONES_COLUMN = np.array([[1.0], [1.0], [1.0]])
 SPIKE_COLUMN = np.array([[1.0], [0.0], [0.0]])
+
+
+def mc_reference(H, K, trials, seed):
+    """The falsifier's loop as first written: batches of 2e6 score entries,
+    each a fresh |Z H'| with boolean-mask column sums.  Returns the worst
+    scaled gap and its direction."""
+    A = _as_matrix(H)
+    n, m = A.shape
+    on_k = np.zeros(n, dtype=bool)
+    on_k[list(K)] = True
+    rng = rng_from_seed(seed)
+    worst = np.inf
+    worst_z = None
+    chunk = max(1, 2_000_000 // max(n, 1))
+    done = 0
+    while done < trials:
+        b = min(chunk, trials - done)
+        Z = rng.standard_normal((b, m))
+        norms = np.linalg.norm(Z, axis=1)
+        norms[norms == 0] = 1.0
+        Z /= norms[:, None]
+        V = np.abs(Z @ A.T)            # b x n
+        gaps = V.sum(axis=1) - 2.0 * V[:, on_k].sum(axis=1)
+        denom = V[:, on_k].sum(axis=1)
+        scaled = np.where(denom > 1e-300, gaps / np.maximum(denom, 1e-300), gaps)
+        i = int(np.argmin(scaled))
+        if scaled[i] < worst:
+            worst = float(scaled[i])
+            worst_z = Z[i].copy()
+        done += b
+    return worst, worst_z
 
 
 class TestBalanceGap:
@@ -197,6 +230,58 @@ class TestMcCertifier:
         H = gauss_toeplitz(15, 1, seed=8)
         cert = certify_support_mc(H, [2], trials=50, seed=3)
         assert cert.verdict in ("unfalsified", "falsified")
+
+    def test_bit_identical_to_reference_loop(self):
+        # one batch either side, or a batch plus one direction that joins it
+        rng = np.random.default_rng(31)
+        seen = {"falsified": 0, "unfalsified": 0}
+        for i in range(160):
+            n = int(rng.integers(3, 801))
+            m = min(int(rng.integers(1, 11)), n)
+            k = int(rng.integers(n // 3 if i % 4 == 0 else 0, n // 2 + 1))
+            dist = InputDist.bernoulli_pm1() if i % 2 else InputDist.gaussian(1.0)
+            H = build_regressor(sample_input(dist, n, m, 7_000 + i), n, m)
+            K = sorted(rng.choice(n, size=k, replace=False).tolist())
+            chunk = ladsysid.cert._BATCH_ENTRIES // n
+            trials = chunk - 1 + i % 3
+            cert = certify_support_mc(H, K, trials=trials, seed=i)
+            worst, z = mc_reference(H, K, trials, seed=i)
+            assert cert.worst_gap == worst, (i, n, m, k, trials)
+            assert cert.verdict == ("falsified" if worst <= 0.0 else "unfalsified")
+            if cert.verdict == "falsified":
+                assert np.array_equal(cert.witness, z), (i, n, m, k)
+            else:
+                assert cert.witness is None
+            seen[cert.verdict] += 1
+        assert seen["falsified"] >= 20 and seen["unfalsified"] >= 20
+
+    @pytest.mark.parametrize("trials", [1, 2, 9, 10, 11, 29, 30, 31])
+    def test_batch_size_keeps_directions_and_first_minimum(self, monkeypatch, trials):
+        # 10 directions per batch at n = 40: the draws come from one stream,
+        # so the worst direction is the same whichever way they are split
+        H = gauss_toeplitz(40, 3, seed=11)
+        K = [0, 5, 9, 17, 30]
+        whole = certify_support_mc(H, K, trials=trials, seed=4)
+        monkeypatch.setattr(ladsysid.cert, "_BATCH_ENTRIES", 400)
+        split = certify_support_mc(H, K, trials=trials, seed=4)
+        assert split.verdict == whole.verdict
+        assert split.worst_gap == pytest.approx(whole.worst_gap, rel=1e-13, abs=1e-15)
+        worst, z = mc_reference(H, K, trials, seed=4)
+        assert split.worst_gap == pytest.approx(worst, rel=1e-13, abs=1e-15)
+        if whole.verdict == "falsified":
+            assert np.array_equal(split.witness, whole.witness)
+
+
+class TestBatchSizes:
+    def test_sizes_cover_total_without_a_lone_tail(self, monkeypatch):
+        monkeypatch.setattr(ladsysid.cert, "_BATCH_ENTRIES", 100)
+        sizes = ladsysid.cert._batch_sizes
+        assert sizes(1, 10) == [1]
+        assert sizes(10, 10) == [10]
+        assert sizes(11, 10) == [11]
+        assert sizes(12, 10) == [10, 2]
+        assert sizes(31, 10) == [10, 10, 11]
+        assert sizes(3, 200) == [1, 1, 1]     # wider than a batch: one row each
 
 
 class TestRecoveryRate:

@@ -74,6 +74,11 @@ class TestThreshold:
     def test_bad_range(self, capsys):
         assert main(["threshold", "--m-min", "3", "--m-max", "1"]) == 1
 
+    def test_m_above_table_is_config_error(self, capsys):
+        assert main(["threshold", "--m-max", "51"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "<= 50" in err
+
 
 class TestExperiment:
     def test_builtin_config_roundtrip(self, tmp_path, capsys):

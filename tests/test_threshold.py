@@ -13,6 +13,42 @@ mpmath.mp.dps = 40
 BETA_STAR_ORACLE = {1: 0.168393, 2: 0.026029}
 
 
+def grid_threshold_reference(m, beta_tol=1e-6, mu_points=200, delta_points=99,
+                             coarse_points=200):
+    """strong_threshold as first written: every trial beta minimizes the
+    inequality over the full (mu, delta) grid."""
+    mu_grid = np.logspace(-2, 2, mu_points)
+    dl_grid = np.linspace(0.01, 0.99, delta_points)
+    pos = threshold_mod._phi_bracket(m, mu_grid)[:, None]
+    tail = threshold_mod._tail_bracket(mu_grid[:, None], dl_grid[None, :])
+    coef = 1.0 / (2 * m - 1)
+    beta_max = coef * (1.0 - 1e-9)
+
+    def min_lhs(beta):
+        vals = entropy(beta) + m * beta * pos + (coef - beta) * tail
+        return float(vals.min()), int(np.argmin(vals))
+
+    coarse = np.geomspace(1e-7, beta_max, coarse_points)
+    neg = np.array([min_lhs(b)[0] < 0 for b in coarse])
+    last = int(np.nonzero(neg)[0].max())
+    lo = coarse[last]
+    hi = coarse[last + 1] if last + 1 < coarse_points else beta_max
+    while min_lhs(hi)[0] < 0 and hi < beta_max:
+        lo = hi
+        hi = min(2 * hi, beta_max)
+    if min_lhs(hi)[0] < 0:
+        lo = hi
+    while hi - lo > beta_tol:
+        mid = 0.5 * (lo + hi)
+        if min_lhs(mid)[0] < 0:
+            lo = mid
+        else:
+            hi = mid
+    value, flat = min_lhs(lo)
+    i_mu, i_dl = np.unravel_index(flat, (mu_points, delta_points))
+    return float(lo), float(mu_grid[i_mu]), float(dl_grid[i_dl]), value
+
+
 def min_lhs_over_grid(beta, m):
     mu = np.logspace(-2, 2, 200)
     dl = np.linspace(0.01, 0.99, 99)
@@ -165,6 +201,16 @@ class TestStrongThreshold:
             base = strong_threshold(m)
             fine = strong_threshold(m, mu_points=400, delta_points=198)
             assert fine.beta_star >= base.beta_star - 2e-6
+
+    def test_bit_identical_to_full_grid_search(self):
+        for m in range(1, 51):
+            res = strong_threshold(m)
+            got = (res.beta_star, res.mu, res.delta, res.lhs_value)
+            assert got == grid_threshold_reference(m), m
+        for m in (1, 4):
+            res = strong_threshold(m, mu_points=400, delta_points=198)
+            got = (res.beta_star, res.mu, res.delta, res.lhs_value)
+            assert got == grid_threshold_reference(m, mu_points=400, delta_points=198), m
 
     def test_result_metadata(self):
         res = strong_threshold(3)
