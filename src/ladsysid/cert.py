@@ -217,7 +217,8 @@ def _pattern_max(A, idx, cidx):
     buf = np.empty((1, n))
     cost = np.zeros(nc + 1)
     cost[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * nc + [(0.0, None)]
+    bounds = np.tile([-1.0, 1.0], (nc + 1, 1))
+    bounds[-1] = (0.0, np.inf)
     best, best_z = 0.0, None       # the ratio is never negative
     for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
         sigma = np.array((1.0,) + tail)

@@ -1,15 +1,23 @@
 """Dense linear programming by the bounded-variable primal simplex method.
 
-Two-phase: phase 1 minimizes the sum of artificial variables to find a basic
-feasible solution, phase 2 optimizes the real objective.  Variables may carry
-arbitrary finite or infinite bounds; nonbasic variables rest at a finite bound
-(or at zero when free).  Pivoting is Dantzig's largest-violation rule, with
-Bland's smallest-index rule engaged while steps are degenerate so the method
-cannot cycle.  Problem sizes here are small (at most a few thousand variables),
-so the basis inverse is kept explicitly and refreshed by row reduction.  That
+``solve_lp`` takes two routes, chosen by the problem alone.  A problem with
+no inequality rows, zero cost and every bound finite asks only whether some
+w has B w = b, lo <= w <= hi: the package's vertex-certificate LP.  It goes
+to a phase-1-only kernel, which minimizes the sum of artificial variables,
+carries the basic values from pivot to pivot and stops as soon as that sum
+reaches zero; each iteration is one pricing product over the columns plus
+O(q^2) work on the q x q basis.  Every other problem goes through the general
+form: inequality rows get slacks, phase 1 finds a basic feasible solution and
+phase 2 optimizes the real objective, with infinite bounds and unbounded rays
+allowed (nonbasic variables rest at a finite bound, or at zero when free).
+
+Both routes price by Dantzig's largest-violation rule, with Bland's
+smallest-index rule engaged while steps are degenerate so the method cannot
+cycle.  Problem sizes here are small (at most a few thousand variables), so
+the basis inverse is kept explicitly and refreshed by row reduction.  That
 inverse drifts over hundreds of pivots, so an optimal exit is re-checked
 against the original rows and bounds; on a violation the inverse is rebuilt
-from the basis columns and phase 2 resumes, and a point still infeasible
+from the basis columns (and phase 2 resumes), and a point still infeasible
 after that is reported as ``inaccurate``, never ``optimal``.
 """
 
@@ -31,8 +39,9 @@ _LO, _HI, _FREE, _BASIC = 0, 1, 2, 3
 class LpProblem:
     """General-form LP: optimize c'x subject to a_ub x <= b_ub, a_eq x = b_eq.
 
-    ``bounds`` lists one (lo, hi) pair per variable, ``None`` meaning
-    unbounded on that side; the default is (0, None) for every variable.
+    ``bounds`` lists one (lo, hi) pair per variable, as a list of pairs or an
+    (n, 2) array, ``None`` (or an infinity) meaning unbounded on that side; a
+    NaN bound is an error.  The default is (0, None) for every variable.
     """
 
     c: np.ndarray
@@ -217,33 +226,111 @@ def _violation(a, b, lo, hi, v) -> float:
                float((lo - v).max(initial=0.0)), float((v - hi).max(initial=0.0)))
 
 
-def solve_lp(problem: LpProblem, max_iter: Optional[int] = None) -> LpResult:
-    """Solve an LP, returning an optimal basic solution when one exists."""
-    c = np.atleast_1d(np.asarray(problem.c, dtype=float))
+def _box_feasibility(a, b, lo, hi, max_iter) -> LpResult:
+    """Find w with a w = b, lo <= w <= hi (every bound finite): phase 1 alone.
+
+    Bounded-variable primal simplex on min 1'art s.t. a w + S art = b, art >= 0,
+    S the signs that make the start w = lo feasible.  Basic values are carried
+    from pivot to pivot, an artificial that leaves the basis is dropped (a
+    feasible w has every artificial at zero, so the verdict is unchanged), and
+    the loop stops as soon as the artificial sum reaches zero.  Each iteration
+    is one pricing product with a plus O(q^2) work on the q x q basis inverse.
+    The candidate w is re-checked against the rows and bounds like every
+    optimal exit of ``solve_lp``: on a violation the inverse is rebuilt once
+    from the basis columns, and a point still infeasible is ``inaccurate``.
+    """
+    q, p = a.shape
+    a = np.ascontiguousarray(a)
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    ztol = 1e-9 * scale
+    # direction each nonbasic variable may move: +1 up from lo, -1 down from
+    # hi, 0 when basic or fixed
+    dirs = (lo < hi).astype(float)
+    resid = b - a @ lo
+    basis = np.arange(p, p + q)          # column p + i: the artificial of row i
+    binv = np.diag(np.where(resid >= 0, 1.0, -1.0))
+    xb = np.abs(resid)
+    cost_b = np.ones(q)                  # phase-1 cost of each basic variable
+    lo_b, hi_b = np.zeros(q), np.full(q, np.inf)
+    iterations = 0
+    bland = False
+    gain = None
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while p and float(cost_b @ xb) > ztol:
+            if gain is None:
+                # moving w_j along dirs_j lowers the artificial sum at rate gain_j
+                gain = ((cost_b @ binv) @ a) * dirs
+            if bland:
+                j = int(np.argmax(gain > 1e-9))
+            else:
+                j = int(np.argmax(gain))
+            if not gain[j] > 1e-9:
+                break                    # phase-1 optimum above zero
+            if iterations >= max_iter:
+                return LpResult(status="iteration_limit", iterations=iterations)
+            iterations += 1
+            direction = float(dirs[j])
+            u = binv @ a[:, j]
+            delta = direction * u        # basic values move by -t * delta
+
+            ratios = (xb - np.where(delta > 0, lo_b, hi_b)) / delta
+            ratios[np.abs(delta) <= 1e-11] = np.inf
+            np.maximum(ratios, 0.0, out=ratios)
+            r = int(np.argmin(ratios))
+            t_star = float(ratios[r])
+            own_cap = float(hi[j] - lo[j])
+            if own_cap <= t_star:        # bound flip: the basis, and so the prices, stay
+                xb -= own_cap * delta
+                dirs[j] = -direction
+                gain[j] = -gain[j]
+                bland = own_cap <= ztol
+                continue
+
+            if bland:
+                tie = np.flatnonzero(ratios <= t_star + ztol)
+                r = int(tie[np.argmin(basis[tie])])
+            else:
+                tie = np.flatnonzero(ratios <= t_star * (1 + 1e-12) + 1e-300)
+                if tie.size > 1:
+                    r = int(tie[np.argmax(np.abs(delta[tie]))])
+            xb -= t_star * delta
+            xb[r] = (lo[j] if direction > 0 else hi[j]) + direction * t_star
+            leaving = int(basis[r])
+            if leaving < p:
+                dirs[leaving] = -1.0 if delta[r] < 0 else 1.0
+            dirs[j] = 0.0
+            basis[r] = j
+            cost_b[r] = 0.0
+            lo_b[r], hi_b[r] = lo[j], hi[j]
+            row = binv[r] / u[r]
+            binv -= u[:, None] * row
+            binv[r] = row
+            gain = None
+            bland = t_star <= ztol
+
+    if float(cost_b @ xb) > 1e-7 * scale:
+        return LpResult(status="infeasible", iterations=iterations)
+    structural = basis < p
+    w = np.where(dirs < 0, hi, lo)
+    w[basis[structural]] = xb[structural]
+    if _violation(a, b, lo, hi, w) > ztol:
+        # rebuild the basic values from the basis columns and check again (the
+        # sign of a basic artificial's column only flips that artificial's value)
+        cols = np.zeros((q, q))
+        cols[:, structural] = a[:, basis[structural]]
+        art = np.flatnonzero(~structural)
+        cols[basis[art] - p, art] = 1.0
+        w[basis[structural]] = 0.0
+        w[basis[structural]] = np.linalg.solve(cols, b - a @ w)[structural]
+        if _violation(a, b, lo, hi, w) > ztol:
+            return LpResult(status="inaccurate", x=w, iterations=iterations)
+    return LpResult(status="optimal", x=w, iterations=iterations, y=np.zeros(q))
+
+
+def _two_phase(c, a_ub, b_ub, a_eq, b_eq, lo, hi, max_iter) -> LpResult:
+    """General form, min c'x: inequality rows get slacks, then phase 1 and phase 2."""
     nx = c.size
-    if problem.sense not in ("min", "max"):
-        raise DimensionError(f"sense must be 'min' or 'max', got {problem.sense!r}")
-    sign = 1.0 if problem.sense == "min" else -1.0
-
-    a_ub = np.zeros((0, nx)) if problem.a_ub is None else np.atleast_2d(
-        np.asarray(problem.a_ub, dtype=float))
-    b_ub = np.zeros(0) if problem.b_ub is None else np.atleast_1d(
-        np.asarray(problem.b_ub, dtype=float))
-    a_eq = np.zeros((0, nx)) if problem.a_eq is None else np.atleast_2d(
-        np.asarray(problem.a_eq, dtype=float))
-    b_eq = np.zeros(0) if problem.b_eq is None else np.atleast_1d(
-        np.asarray(problem.b_eq, dtype=float))
-    if a_ub.shape != (b_ub.size, nx) or a_eq.shape != (b_eq.size, nx):
-        raise DimensionError("constraint matrix shapes do not match c/b")
-
-    bounds = problem.bounds if problem.bounds is not None else [(0, None)] * nx
-    if len(bounds) != nx:
-        raise DimensionError("one (lo, hi) pair per variable required")
-    lo = np.array([-np.inf if b[0] is None else float(b[0]) for b in bounds])
-    hi = np.array([np.inf if b[1] is None else float(b[1]) for b in bounds])
-    if np.any(lo > hi):
-        raise DimensionError("variable bounds require lo <= hi")
-
     n_ub = b_ub.size
     n_rows = n_ub + b_eq.size
     if n_rows:
@@ -256,7 +343,7 @@ def solve_lp(problem: LpProblem, max_iter: Optional[int] = None) -> LpResult:
     b_full = np.concatenate([b_ub, b_eq])
     lo_full = np.concatenate([lo, np.zeros(n_ub)])
     hi_full = np.concatenate([hi, np.full(n_ub, np.inf)])
-    c_full = np.concatenate([sign * c, np.zeros(n_ub)])
+    c_full = np.concatenate([c, np.zeros(n_ub)])
 
     if max_iter is None:
         max_iter = 200 + 50 * (a_full.shape[0] + a_full.shape[1])
@@ -289,7 +376,64 @@ def solve_lp(problem: LpProblem, max_iter: Optional[int] = None) -> LpResult:
     if status == "unbounded":
         return LpResult(status="unbounded", ray=sx.ray[:nx], iterations=sx.iterations)
     if status != "optimal":
-        return LpResult(status=status, x=x,
-                        objective=float(c @ x), iterations=sx.iterations)
-    return LpResult(status="optimal", x=x, objective=float(c @ x),
-                    iterations=sx.iterations, y=phase2_cost[sx.basis] @ sx.binv)
+        return LpResult(status=status, x=x, iterations=sx.iterations)
+    return LpResult(status="optimal", x=x, iterations=sx.iterations,
+                    y=phase2_cost[sx.basis] @ sx.binv)
+
+
+def _parse_bounds(bounds, nx):
+    """(lo, hi) arrays from one (lo, hi) pair per variable, ``None`` unbounded."""
+    if bounds is None:
+        return np.zeros(nx), np.full(nx, np.inf)
+    try:
+        bnd = np.array(bounds, dtype=float)        # one pass; None reads as NaN
+    except (TypeError, ValueError):
+        raise DimensionError("bounds must be one (lo, hi) pair of numbers per variable") from None
+    if bnd.shape != (nx, 2):
+        raise DimensionError("one (lo, hi) pair per variable required")
+    missing = np.isnan(bnd)
+    if missing.any():
+        for i, k in zip(*np.nonzero(missing)):
+            if bounds[i][k] is not None:
+                raise DimensionError(f"bound {k} of variable {i} is NaN")
+        bnd[missing] = np.broadcast_to([-np.inf, np.inf], bnd.shape)[missing]
+    lo, hi = bnd[:, 0], bnd[:, 1]
+    if np.any(lo > hi):
+        raise DimensionError("variable bounds require lo <= hi")
+    return lo, hi
+
+
+def solve_lp(problem: LpProblem, max_iter: Optional[int] = None) -> LpResult:
+    """Solve an LP, returning an optimal basic solution when one exists.
+
+    A problem with no inequality rows, zero cost and every bound finite is a
+    box-feasibility question and goes to the phase-1 kernel; every other
+    problem goes through both phases of the general form.
+    """
+    c = np.atleast_1d(np.asarray(problem.c, dtype=float))
+    nx = c.size
+    if problem.sense not in ("min", "max"):
+        raise DimensionError(f"sense must be 'min' or 'max', got {problem.sense!r}")
+    sign = 1.0 if problem.sense == "min" else -1.0
+
+    a_ub = np.zeros((0, nx)) if problem.a_ub is None else np.atleast_2d(
+        np.asarray(problem.a_ub, dtype=float))
+    b_ub = np.zeros(0) if problem.b_ub is None else np.atleast_1d(
+        np.asarray(problem.b_ub, dtype=float))
+    a_eq = np.zeros((0, nx)) if problem.a_eq is None else np.atleast_2d(
+        np.asarray(problem.a_eq, dtype=float))
+    b_eq = np.zeros(0) if problem.b_eq is None else np.atleast_1d(
+        np.asarray(problem.b_eq, dtype=float))
+    if a_ub.shape != (b_ub.size, nx) or a_eq.shape != (b_eq.size, nx):
+        raise DimensionError("constraint matrix shapes do not match c/b")
+    lo, hi = _parse_bounds(problem.bounds, nx)
+
+    if not b_ub.size and not c.any() and np.isfinite(lo).all() and np.isfinite(hi).all():
+        if max_iter is None:
+            max_iter = 200 + 50 * (b_eq.size + nx)
+        res = _box_feasibility(a_eq, b_eq, lo, hi, max_iter)
+    else:
+        res = _two_phase(sign * c, a_ub, b_ub, a_eq, b_eq, lo, hi, max_iter)
+    if res.x is not None:
+        res.objective = float(c @ res.x)
+    return res

@@ -14,8 +14,10 @@ the noiseless outlier-correction problems this package targets are massively
 degenerate at the optimum (every clean row has zero residual there), plain
 pivoting can stall walking equivalent bases; at degenerate vertices the
 solver therefore checks the exact subgradient optimality certificate -- a
-small box-constrained feasibility LP -- and exits as soon as the vertex is
-provably optimal.
+small box-feasibility LP -- and exits as soon as the vertex is provably
+optimal.  That LP has m equality rows, zero cost and the bounds |w| <= 1, so
+``solve_lp`` sends it to its phase-1-only kernel rather than the general
+two-phase simplex.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
 
     The vertex is optimal iff -grad_nz lies in the zonotope spanned by the
     zero-residual rows with coefficients in [-1, 1]; the membership check is
-    a phase-1 LP with m equality constraints.  The returned certificate is
-    re-verified directly so the decision does not lean on the LP's internal
-    tolerances.
+    a box-feasibility LP with m equality constraints, which ``solve_lp``
+    answers by phase 1 alone.  The returned certificate is re-verified
+    directly so the decision does not lean on the LP's internal tolerances.
     """
     At = A[zero_mask].T  # m x |T|
     target = -grad_nz
@@ -84,7 +86,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
         c=np.zeros(At.shape[1]),
         a_eq=At,
         b_eq=target,
-        bounds=[(-1.0, 1.0)] * At.shape[1],
+        bounds=np.broadcast_to([-1.0, 1.0], (At.shape[1], 2)),
     ))
     if res.status != "optimal":
         return False

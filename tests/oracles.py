@@ -116,3 +116,11 @@ def highs_lad_objective(H, y):
                   options={"presolve": False})
     assert res.status == 0, res.message
     return -res.fun
+
+
+def highs_box_feasible(B, b, bounds):
+    """Is there a w with B w = b inside ``bounds`` (one (lo, hi) pair, or one
+    per column)?  HiGHS on the zero-cost LP."""
+    res = linprog(np.zeros(B.shape[1]), A_eq=B, b_eq=b, bounds=bounds, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0

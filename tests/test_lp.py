@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 import ladsysid.lp
 from ladsysid import DimensionError, LpProblem, solve_lp
-from oracles import gauss_toeplitz
+from oracles import gauss_toeplitz, highs_box_feasible
 
 
 def enumerate_vertices_standard_form(a, b, c):
@@ -107,6 +107,8 @@ class TestStatuses:
             solve_lp(LpProblem(c=[1.0], bounds=[(2, 1)]))
         with pytest.raises(DimensionError):
             solve_lp(LpProblem(c=[1.0], sense="minimize"))
+        with pytest.raises(DimensionError):
+            solve_lp(LpProblem(c=[1.0, 0.0], bounds=[(np.nan, 1.0), (0, 1)]))
 
 
 class TestVertexEnumerationOracle:
@@ -207,3 +209,171 @@ class TestFinalFeasibilityCheck:
         monkeypatch.setattr(ladsysid.lp._BoundedSimplex, "refactor", lambda self: None)
         statuses = {solve_lp(prob).status for prob in self.pattern_lps()}
         assert statuses == {"inaccurate"}
+
+
+class TestBoxFeasibility:
+    """Zero cost, equality rows only, finite bounds: solve_lp's phase-1 kernel."""
+
+    KINDS = ("gaussian", "pm1", "small_int")
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Which path each solve_lp call took, in order."""
+        taken = []
+        for name, label in (("_box_feasibility", "box"), ("_two_phase", "general")):
+            inner = getattr(ladsysid.lp, name)
+
+            def recorded(*args, _inner=inner, _label=label):
+                taken.append(_label)
+                return _inner(*args)
+            monkeypatch.setattr(ladsysid.lp, name, recorded)
+        return taken
+
+    @staticmethod
+    def random_problem(rng, kind):
+        q = int(rng.integers(1, 7))
+        p = int(rng.integers(1, 61))
+        if kind == "gaussian":
+            a = rng.standard_normal((q, p))
+        elif kind == "pm1":
+            a = rng.choice([-1.0, 1.0], size=(q, p))
+        else:                      # tie-prone: entries in -2..2, zero columns possible
+            a = rng.integers(-2, 3, size=(q, p)).astype(float)
+        if rng.random() < 0.5:
+            lo, hi = np.full(p, -1.0), np.ones(p)
+        else:                      # general boxes, some variables fixed
+            lo = rng.integers(-3, 2, size=p).astype(float)
+            hi = lo + rng.integers(0, 3, size=p)
+        return a, lo, hi
+
+    @staticmethod
+    def solve(a, b, lo, hi, max_iter=None):
+        return solve_lp(LpProblem(c=np.zeros(a.shape[1]), a_eq=a, b_eq=b,
+                                  bounds=np.column_stack([lo, hi])), max_iter=max_iter)
+
+    @staticmethod
+    def check_optimal(res, a, b, lo, hi):
+        assert res.status == "optimal"
+        tol = 1e-9 * max(1.0, float(np.abs(b).max(initial=0.0)))
+        assert float(np.abs(a @ res.x - b).max(initial=0.0)) <= tol
+        assert (res.x >= lo - tol).all() and (res.x <= hi + tol).all()
+        assert res.objective == 0.0
+        assert np.array_equal(res.y, np.zeros(a.shape[0]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_feasible_by_construction(self, kind, routes):
+        rng = np.random.default_rng(["gaussian", "pm1", "small_int"].index(kind) + 100)
+        for i in range(120):
+            a, lo, hi = self.random_problem(rng, kind)
+            if i % 3 == 0:         # w0 inside the box
+                w0 = rng.uniform(lo, hi)
+            elif i % 3 == 1:       # w0 at a vertex of the box
+                w0 = np.where(rng.random(lo.size) < 0.5, lo, hi)
+            else:                  # w0 maximizes z'a w: b on the boundary of a w's range
+                w0 = np.where(rng.standard_normal(a.shape[0]) @ a > 0, hi, lo)
+            b = a @ w0
+            assert highs_box_feasible(a, b, np.column_stack([lo, hi]))
+            self.check_optimal(self.solve(a, b, lo, hi), a, b, lo, hi)
+        assert routes == ["box"] * 120
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_infeasible_outside_zonotope(self, kind, routes):
+        rng = np.random.default_rng(["gaussian", "pm1", "small_int"].index(kind) + 200)
+        done = 0
+        while done < 80:
+            a, _, _ = self.random_problem(rng, kind)
+            p = a.shape[1]
+            lo, hi = np.full(p, -1.0), np.ones(p)
+            z = rng.standard_normal(a.shape[0])
+            if np.abs(z @ a).sum() < 1e-3:
+                continue           # z'a w is flat over the box: nothing to scale
+            # z'b exceeds max z'a w over the box, so b is outside {a w : |w| <= 1}
+            b = rng.uniform(1.05, 3.0) * (a @ np.sign(z @ a))
+            assert not highs_box_feasible(a, b, np.column_stack([lo, hi]))
+            assert self.solve(a, b, lo, hi).status == "infeasible"
+            done += 1
+        assert routes == ["box"] * 80
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verdict_matches_highs_on_random_right_hand_sides(self, kind):
+        rng = np.random.default_rng(["gaussian", "pm1", "small_int"].index(kind) + 300)
+        verdicts = []
+        for _ in range(150):
+            a, lo, hi = self.random_problem(rng, kind)
+            b = a @ rng.uniform(lo, hi) + rng.normal(0.0, 2.0, a.shape[0])
+            if kind != "gaussian":
+                b = np.round(b)    # integer data: feasible problems sit on ties
+            res = self.solve(a, b, lo, hi)
+            feasible = highs_box_feasible(a, b, np.column_stack([lo, hi]))
+            verdicts.append(feasible)
+            if feasible:
+                self.check_optimal(res, a, b, lo, hi)
+            else:
+                assert res.status == "infeasible"
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+    def test_bound_flips_alone(self, routes):
+        # from w = lo = -1 each variable moves to its upper bound without any
+        # basis change: three iterations, all flips, the artificial stays basic
+        a = np.ones((1, 3))
+        res = self.solve(a, np.array([3.0]), np.full(3, -1.0), np.ones(3))
+        self.check_optimal(res, a, np.array([3.0]), np.full(3, -1.0), np.ones(3))
+        assert res.iterations == 3
+        assert np.array_equal(res.x, np.ones(3))
+        assert routes == ["box"]
+
+    def test_zero_rows(self, routes):
+        lo, hi = np.array([0.0, -2.0, 5.0]), np.array([1.0, -1.0, 5.0])
+        res = solve_lp(LpProblem(c=np.zeros(3), bounds=list(zip(lo, hi))))
+        assert res.status == "optimal"
+        assert np.array_equal(res.x, lo) and res.iterations == 0
+        assert res.y.shape == (0,)
+        assert routes == ["box"]
+
+    def test_iteration_limit(self, routes):
+        a = np.ones((1, 3))
+        res = self.solve(a, np.array([3.0]), np.full(3, -1.0), np.ones(3), max_iter=1)
+        assert res.status == "iteration_limit"
+        assert res.iterations == 1 and res.x is None
+        assert routes == ["box"]
+
+    def test_failed_recheck_rebuilds_the_basis(self, monkeypatch):
+        # the first re-check of each solve reports a violation: the basic values
+        # are rebuilt from the basis columns, with artificials still basic or not
+        rng = np.random.default_rng(400)
+        check = ladsysid.lp._violation
+        seen = []
+
+        def first_fails(*args):
+            seen.append(check(*args))
+            return 1.0 if len(seen) == 1 else seen[-1]
+        monkeypatch.setattr(ladsysid.lp, "_violation", first_fails)
+        problems = [(np.ones((1, 3)), np.array([3.0]), np.full(3, -1.0), np.ones(3))]
+        for kind in self.KINDS:
+            for _ in range(20):
+                a, lo, hi = self.random_problem(rng, kind)
+                problems.append((a, a @ rng.uniform(lo, hi), lo, hi))
+        for a, b, lo, hi in problems:
+            seen.clear()
+            self.check_optimal(self.solve(a, b, lo, hi), a, b, lo, hi)
+            assert len(seen) == 2
+
+    def test_point_failing_the_recheck_twice_is_inaccurate(self, monkeypatch):
+        monkeypatch.setattr(ladsysid.lp, "_violation", lambda *args: 1.0)
+        a = np.array([[1.0, 2.0, -1.0], [0.5, -1.0, 1.0]])
+        res = self.solve(a, a @ np.array([0.2, -0.3, 0.9]), np.full(3, -1.0), np.ones(3))
+        assert res.status == "inaccurate"
+        assert res.x is not None and res.y is None
+
+    def test_routing_rule(self, routes):
+        a, b = np.array([[1.0, 2.0]]), np.array([1.0])
+        solve_lp(LpProblem(c=[0.0, 0.0], a_eq=a, b_eq=b, bounds=[(-1, 1), (-1, 1)]))
+        solve_lp(LpProblem(c=[0.0, 0.0], a_eq=a, b_eq=b, bounds=[(-1, 1), (-1, 1)],
+                           sense="max"))
+        assert routes == ["box", "box"]
+        routes.clear()
+        solve_lp(LpProblem(c=[1.0, 0.0], a_eq=a, b_eq=b, bounds=[(-1, 1), (-1, 1)]))
+        solve_lp(LpProblem(c=[0.0, 0.0], a_eq=a, b_eq=b, bounds=[(-1, 1), (-1, None)]))
+        solve_lp(LpProblem(c=[0.0, 0.0], a_eq=a, b_eq=b))     # default bounds (0, None)
+        solve_lp(LpProblem(c=[0.0, 0.0], a_ub=a, b_ub=b, bounds=[(-1, 1), (-1, 1)]))
+        assert routes == ["general"] * 4

@@ -7,9 +7,11 @@ import pytest
 from ladsysid import (DimensionError, InputDist, SingularSystemError,
                       build_regressor, consistency_scenario, derive_seed,
                       lad_estimate, ls_estimate, sample_input, scenario_table1)
-from ladsysid.harness import _draw_trial
-from ladsysid.solver import _leaving_index
-from oracles import highs_lad_objective
+import ladsysid.lp
+import ladsysid.solver
+from ladsysid.harness import _draw_trial, config_from_dict
+from ladsysid.solver import _certify_vertex, _leaving_index
+from oracles import highs_box_feasible, highs_lad_objective
 
 
 def lad_bruteforce_objective(H, y):
@@ -49,6 +51,23 @@ def walk_leaving_index(t, abs_hd, slope, bland, ztol):
         if slope >= -1e-12:
             return int(i)
     return int(order[-1])
+
+
+def general_path_vertex_check(A, zero_mask, grad_nz):
+    """Reference vertex check: the same membership LP solved by the general
+    two-phase simplex, as ``solver._certify_vertex`` did before box-feasibility
+    problems got their own phase-1 kernel."""
+    At = A[zero_mask].T
+    target = -grad_nz
+    p = At.shape[1]
+    res = ladsysid.lp._two_phase(np.zeros(p), np.zeros((0, p)), np.zeros(0), At, target,
+                                 np.full(p, -1.0), np.ones(p), None)
+    if res.status != "optimal":
+        return False
+    w = res.x
+    scale = max(1.0, float(np.abs(target).max()))
+    return (np.abs(w).max(initial=0.0) <= 1.0 + 1e-9
+            and float(np.abs(At @ w - target).max()) <= 1e-8 * scale)
 
 
 class TestTable1Golden:
@@ -210,6 +229,46 @@ class TestLargeN:
         iterations, digest = self.FROZEN[trial]
         assert est.iterations == iterations
         assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
+
+
+class TestVertexCertificate:
+    """``_certify_vertex`` on the degenerate vertices that LAD meets in noiseless
+    +-1 PRBS sweeps (m=5, up to 80% outliers of sd 10, n 40-600)."""
+
+    @staticmethod
+    def vertex_checks(monkeypatch, n, trials):
+        scen = config_from_dict({"scenario": {
+            "m": 5, "input": {"kind": "bernoulli_pm1"}, "noise": {"kind": "none"},
+            "outliers": {"count_model": "uniform_fraction", "max_fraction": 0.8,
+                         "mean": 0.0, "sd": 10.0}}, "n_grid": [n]}).scenario
+        calls = []
+        inner = ladsysid.solver._certify_vertex
+
+        def recorded(A, zero_mask, grad_nz):
+            calls.append((A, zero_mask.copy(), grad_nz.copy()))
+            return inner(A, zero_mask, grad_nz)
+        monkeypatch.setattr(ladsysid.solver, "_certify_vertex", recorded)
+        for t in range(trials):
+            H, x, e, w = _draw_trial(scen, derive_seed(7, n, t))
+            lad_estimate(H, H.entries @ x + e + w)
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("n,trials", [(40, 40), (100, 24), (250, 12), (600, 6)])
+    def test_verdicts_match_general_path_and_highs(self, monkeypatch, n, trials):
+        calls = self.vertex_checks(monkeypatch, n, trials)
+        verdicts = []
+        for A, zero_mask, grad_nz in calls:
+            got = _certify_vertex(A, zero_mask, grad_nz)
+            assert got == general_path_vertex_check(A, zero_mask, grad_nz)
+            assert got == highs_box_feasible(A[zero_mask].T, -grad_nz, (-1.0, 1.0))
+            verdicts.append(got)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_all_rows_zero_is_certified(self):
+        # y = Hx exactly: every residual vanishes and the gradient is empty
+        A = gauss_toeplitz(30, 3, seed=4).entries
+        assert _certify_vertex(A, np.ones(30, dtype=bool), np.zeros(3))
 
 
 class TestEstimateInvariants:
