@@ -246,6 +246,7 @@ def _box_feasibility(a, b, lo, hi, max_iter) -> LpResult:
     # direction each nonbasic variable may move: +1 up from lo, -1 down from
     # hi, 0 when basic or fixed
     dirs = (lo < hi).astype(float)
+    cap = hi - lo
     resid = b - a @ lo
     basis = np.arange(p, p + q)          # column p + i: the artificial of row i
     binv = np.diag(np.where(resid >= 0, 1.0, -1.0))
@@ -261,10 +262,7 @@ def _box_feasibility(a, b, lo, hi, max_iter) -> LpResult:
             if gain is None:
                 # moving w_j along dirs_j lowers the artificial sum at rate gain_j
                 gain = ((cost_b @ binv) @ a) * dirs
-            if bland:
-                j = int(np.argmax(gain > 1e-9))
-            else:
-                j = int(np.argmax(gain))
+            j = int((gain > 1e-9).argmax() if bland else gain.argmax())
             if not gain[j] > 1e-9:
                 break                    # phase-1 optimum above zero
             if iterations >= max_iter:
@@ -277,9 +275,9 @@ def _box_feasibility(a, b, lo, hi, max_iter) -> LpResult:
             ratios = (xb - np.where(delta > 0, lo_b, hi_b)) / delta
             ratios[np.abs(delta) <= 1e-11] = np.inf
             np.maximum(ratios, 0.0, out=ratios)
-            r = int(np.argmin(ratios))
+            r = int(ratios.argmin())
             t_star = float(ratios[r])
-            own_cap = float(hi[j] - lo[j])
+            own_cap = float(cap[j])
             if own_cap <= t_star:        # bound flip: the basis, and so the prices, stay
                 xb -= own_cap * delta
                 dirs[j] = -direction
@@ -288,12 +286,12 @@ def _box_feasibility(a, b, lo, hi, max_iter) -> LpResult:
                 continue
 
             if bland:
-                tie = np.flatnonzero(ratios <= t_star + ztol)
-                r = int(tie[np.argmin(basis[tie])])
+                tie = (ratios <= t_star + ztol).nonzero()[0]
+                r = int(tie[basis[tie].argmin()])
             else:
-                tie = np.flatnonzero(ratios <= t_star * (1 + 1e-12) + 1e-300)
+                tie = (ratios <= t_star * (1 + 1e-12) + 1e-300).nonzero()[0]
                 if tie.size > 1:
-                    r = int(tie[np.argmax(np.abs(delta[tie]))])
+                    r = int(tie[np.abs(delta[tie]).argmax()])
             xb -= t_star * delta
             xb[r] = (lo[j] if direction > 0 else hi[j]) + direction * t_star
             leaving = int(basis[r])

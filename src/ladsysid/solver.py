@@ -18,6 +18,16 @@ small box-feasibility LP -- and exits as soon as the vertex is provably
 optimal.  That LP has m equality rows, zero cost and the bounds |w| <= 1, so
 ``solve_lp`` sends it to its phase-1-only kernel rather than the general
 two-phase simplex.
+
+Each pivot solves three m x m systems (the prices, the edge direction and the
+new vertex).  They go straight to the LAPACK gufunc behind ``np.linalg.solve``
+(numpy's private ``_umath_linalg.solve1``), which gives the same bits without
+the wrapper's per-call checks; the floating-point state that turns a singular
+basis into ``LinAlgError`` is entered once per ``lad_estimate`` call rather than
+once per system.  When numpy lacks that private gufunc the solves fall back to
+``np.linalg.solve``.  The zero tolerance is ``ZERO_TOL * max|y|`` with no floor
+at 1, so it shrinks with small data.  Both estimators reject a NaN or
+an infinity in H or y with ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -30,6 +40,11 @@ import scipy.linalg
 from .errors import DimensionError, SingularSystemError
 from .lp import LpProblem, solve_lp
 from .matgen import RegressorMatrix
+
+try:
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:  # private numpy module: ``_solve`` falls back to np.linalg.solve
+    _solve1 = None
 
 __all__ = ["Estimate", "lad_estimate", "ls_estimate"]
 
@@ -58,6 +73,43 @@ def _as_matrix(H) -> np.ndarray:
     if A.ndim == 1:
         A = A[:, None]
     return A
+
+
+def _checked_inputs(H, y):
+    """(A, y) as float arrays, after the shape and finiteness checks both
+    estimators share."""
+    A = _as_matrix(H)
+    y = np.asarray(y, dtype=float)
+    n, m = A.shape
+    if y.shape != (n,):
+        raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
+    if n < m or m < 1:
+        raise DimensionError(f"need n >= m >= 1, got n={n}, m={m}")
+    if not (np.isfinite(A).all() and np.isfinite(y).all()):
+        raise DimensionError("H and y must be finite (found NaN or inf)")
+    return A, y
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+#: floating-point state for ``_solve``: the one np.linalg.solve enters per call,
+#: entered once per ``lad_estimate`` instead.  A singular system makes the
+#: gufunc return NaNs and raise the invalid flag, which then raises LinAlgError.
+_SOLVE_ERRSTATE = dict(call=_raise_singular, invalid="call",
+                       over="ignore", divide="ignore", under="ignore")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for float64 a (m x m) and b (m,), bit for bit.
+
+    Runs the same LAPACK gufunc without the wrapper; a singular ``a`` raises
+    LinAlgError only inside ``np.errstate(**_SOLVE_ERRSTATE)``.
+    """
+    if _solve1 is None:
+        return np.linalg.solve(a, b)
+    return _solve1(a, b, signature="dd->d")
 
 
 def _initial_basis(A: np.ndarray) -> np.ndarray:
@@ -91,7 +143,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
     if res.status != "optimal":
         return False
     w = res.x
-    scale = max(1.0, float(np.abs(target).max()))
+    scale = float(np.abs(target).max()) or 1.0
     return (np.abs(w).max(initial=0.0) <= 1.0 + 1e-9
             and float(np.abs(At @ w - target).max()) <= 1e-8 * scale)
 
@@ -116,19 +168,19 @@ def _leaving_index(t: np.ndarray, abs_hd: np.ndarray, slope: float, bland: bool,
     sorted breakpoints would.
     """
     if bland:
-        return int(np.argmax(t <= t.min() + ztol))
+        return int((t <= t.min() + ztol).argmax())
     k = 128
     while True:
         k = min(k, t.size)
-        head = np.flatnonzero(t <= np.partition(t, k - 1)[k - 1])
-        order = np.argsort(t[head])
+        head = (t <= np.partition(t, k - 1)[k - 1]).nonzero()[0]
+        order = t[head].argsort()
         ts = t[head[order]]
         if (ts[1:] == ts[:-1]).any():
             order = order[np.lexsort((order, ts))]
         head = head[order]
-        stops = np.cumsum(np.concatenate(([slope], 2.0 * abs_hd[head])))[1:] >= -1e-12
+        stops = np.concatenate(([slope], 2.0 * abs_hd[head])).cumsum()[1:] >= -1e-12
         if stops.any():
-            return int(head[np.argmax(stops)])
+            return int(head[stops.argmax()])
         if k == t.size:
             return int(head[-1])
         k *= 4
@@ -139,101 +191,105 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
 
     Returns a vertex solution: at least m residuals vanish when H has full
     column rank.  When the minimizer set is a face rather than a point, the
-    returned vertex is one deterministic element of it.
+    returned vertex is one deterministic element of it.  A NaN or inf in H
+    or y raises DimensionError; a basis that turns out singular raises
+    numpy's LinAlgError.
     """
-    A = _as_matrix(H)
-    y = np.asarray(y, dtype=float)
+    A, y = _checked_inputs(H, y)
     n, m = A.shape
-    if y.shape != (n,):
-        raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
-    if n < m or m < 1:
-        raise DimensionError(f"need n >= m >= 1, got n={n}, m={m}")
     if max_iter is None:
         max_iter = 200 * (n + m) + 1000
 
     basis = _initial_basis(A)
-    scale = max(1.0, float(np.abs(y).max()))
-    ztol = ZERO_TOL * scale
+    ztol = ZERO_TOL * (float(np.abs(y).max()) or 1.0)
 
-    x = np.linalg.solve(A[basis], y[basis])
-    r = y - A @ x
-    sigma = np.where(r >= 0, 1.0, -1.0)
-
-    bland = False
-    checked_degenerate = -10**9
-    status = "iteration_limit"
-    it = 0
-
-    while it < max_iter:
-        it += 1
+    # H and y are finite, so only a singular solve can raise the invalid flag
+    # inside this block, and it turns into LinAlgError as in np.linalg.solve
+    with np.errstate(**_SOLVE_ERRSTATE):
         AB = A[basis]
-        sig_nb = sigma.copy()
-        sig_nb[basis] = 0.0
-        zero_off = (np.abs(r) <= ztol)
-        zero_off[basis] = False
+        x = _solve(AB, y[basis])
+        r = y - A @ x
+        sigma = np.where(r >= 0, 1.0, -1.0)
+        zero_off = np.abs(r) <= ztol
+        sig_nb = np.empty(n)
 
-        g = A.T @ sig_nb
-        lam = np.linalg.solve(AB.T, g)
-        viol = np.abs(lam) - 1.0
+        bland = False
+        checked_degenerate = -10**9
+        status = "iteration_limit"
+        it = 0
 
-        if bland:
-            cand = np.nonzero(viol > OPT_TOL)[0]
-            optimal = cand.size == 0
-        else:
-            p = int(np.argmax(viol))
-            optimal = viol[p] <= OPT_TOL
-        if optimal:
-            status = "optimal"
-            break
+        while it < max_iter:
+            it += 1
+            # AB and zero_off (|r| <= ztol) carry over from the previous re-solve
+            np.copyto(sig_nb, sigma)
+            sig_nb[basis] = 0.0
+            zero_off[basis] = False
 
-        if zero_off.any() and (it - checked_degenerate) >= 25:
-            checked_degenerate = it
-            zero_mask = zero_off.copy()
-            zero_mask[basis] = True
-            nz = ~zero_mask
-            grad_nz = A[nz].T @ np.sign(r[nz])
-            if _certify_vertex(A, zero_mask, grad_nz):
+            g = A.T @ sig_nb
+            lam = _solve(AB.T, g)
+            viol = np.abs(lam) - 1.0
+
+            if bland:
+                cand = (viol > OPT_TOL).nonzero()[0]
+                optimal = cand.size == 0
+            else:
+                p = int(viol.argmax())
+                optimal = viol[p] <= OPT_TOL
+            if optimal:
                 status = "optimal"
                 break
 
-        if bland:
-            p = int(cand[0])  # basis kept sorted: first violation = smallest row
-        s = 1.0 if lam[p] > 0 else -1.0
+            if zero_off.any() and (it - checked_degenerate) >= 25:
+                checked_degenerate = it
+                zero_mask = zero_off.copy()
+                zero_mask[basis] = True
+                nz = ~zero_mask
+                grad_nz = A[nz].T @ np.sign(r[nz])
+                if _certify_vertex(A, zero_mask, grad_nz):
+                    status = "optimal"
+                    break
 
-        e_p = np.zeros(m)
-        e_p[p] = s
-        d = np.linalg.solve(AB, e_p)
-        hd = A @ d
-        hd[basis] = 0.0
+            if bland:
+                p = int(cand[0])  # basis kept sorted: first violation = smallest row
+            s = 1.0 if lam[p] > 0 else -1.0
 
-        abs_hd = np.abs(hd)
-        movable = abs_hd > 1e-11 * max(1.0, float(abs_hd.max()))
-        # rows whose residual reaches zero along d: a nonzero residual of the
-        # sign of hd, or a zero residual whose subgradient sign is that of hd
-        # (it blocks at t = 0)
-        cand_rows = np.flatnonzero(
-            movable & ((np.where(zero_off, sigma, r) > 0) == (hd > 0)))
-        if cand_rows.size == 0:
-            # cannot happen for full-rank LAD (objective grows along any ray)
-            status = "degenerate_fallback"
-            break
-        t = r[cand_rows] / hd[cand_rows]
-        t[zero_off[cand_rows]] = 0.0
+            e_p = np.zeros(m)
+            e_p[p] = s
+            d = _solve(AB, e_p)
+            hd = A @ d
+            hd[basis] = 0.0
 
-        j = _leaving_index(t, abs_hd[cand_rows], 1.0 - abs(lam[p]), bland, ztol)
-        leave = int(cand_rows[j])
-        t_star = float(t[j])
+            abs_hd = np.abs(hd)
+            movable = abs_hd > 1e-11 * max(1.0, float(abs_hd.max()))
+            # rows whose residual reaches zero along d: a nonzero residual of the
+            # sign of hd, or a zero residual whose subgradient sign is that of hd
+            # (it blocks at t = 0); off the basis sigma is sign(r) wherever
+            # |r| > ztol and the subgradient sign elsewhere
+            cand_rows = (movable & ((sigma > 0) == (hd > 0))).nonzero()[0]
+            if cand_rows.size == 0:
+                # cannot happen for full-rank LAD (objective grows along any ray)
+                status = "degenerate_fallback"
+                break
+            t = r[cand_rows] / hd[cand_rows]
+            t[zero_off[cand_rows]] = 0.0
 
-        degenerate_step = t_star * abs_hd[leave] <= ztol
-        bland = degenerate_step
+            j = _leaving_index(t, abs_hd[cand_rows], 1.0 - abs(lam[p]), bland, ztol)
+            leave = int(cand_rows[j])
+            t_star = float(t[j])
 
-        b_row = basis[p]
-        basis[p] = leave
-        basis = np.sort(basis)
-        sigma[b_row] = -s
-        x = np.linalg.solve(A[basis], y[basis])
-        r = y - A @ x
-        np.copysign(1.0, r, out=sigma, where=np.abs(r) > ztol)
+            degenerate_step = t_star * abs_hd[leave] <= ztol
+            bland = degenerate_step
+
+            b_row = basis[p]
+            basis[p] = leave
+            basis.sort()
+            sigma[b_row] = -s
+            AB = A[basis]
+            x = _solve(AB, y[basis])
+            r = y - A @ x
+            live = np.abs(r) > ztol
+            np.copysign(1.0, r, out=sigma, where=live)
+            zero_off = ~live
 
     residuals = y - A @ x
     return Estimate(
@@ -247,14 +303,12 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
 
 
 def ls_estimate(H, y) -> Estimate:
-    """Ordinary least squares via SVD (numpy lstsq), unique for full-rank H."""
-    A = _as_matrix(H)
-    y = np.asarray(y, dtype=float)
-    n, m = A.shape
-    if y.shape != (n,):
-        raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
-    if n < m or m < 1:
-        raise DimensionError(f"need n >= m >= 1, got n={n}, m={m}")
+    """Ordinary least squares via SVD (numpy lstsq), unique for full-rank H.
+
+    A NaN or inf in H or y raises DimensionError.
+    """
+    A, y = _checked_inputs(H, y)
+    m = A.shape[1]
     x, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < m:
         raise SingularSystemError(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ladsysid.harness
+import ladsysid.solver
 from ladsysid import (ConfigError, ExperimentConfig, InputDist, Magnitude,
                       NoiseSpec, OutlierSpec, Scenario, SpecError, TrialRow,
                       XSource, config_from_dict, emit_csv, consistency_config,
@@ -106,6 +107,31 @@ class TestRunTrial:
             assert by["lad"].status == "error:LinAlgError"
             assert np.isnan(by["lad"].error_l2)
             assert by["ls"].status == "optimal"
+
+    def test_non_finite_observation_recorded_and_sweep_completes(self, monkeypatch):
+        draw = ladsysid.harness._draw_trial
+
+        def nan_outlier(s, seed):
+            H, x, e, w = draw(s, seed)
+            e[3] = np.nan
+            return H, x, e, w
+
+        monkeypatch.setattr(ladsysid.harness, "_draw_trial", nan_outlier)
+        res = run_experiment(ExperimentConfig(scenario=clean_scenario(), n_grid=[30, 40],
+                                              trials_per_point=2, master_seed=3))
+        assert len(res.records) == 4
+        for rec in res.records:
+            for run in rec.runs:
+                assert run.status == "error:DimensionError"
+                assert np.isnan(run.error_l2)
+
+    def test_singular_basis_recorded_as_linalg_error(self, monkeypatch):
+        # a basis holding the same row twice is singular at the first solve
+        monkeypatch.setattr(ladsysid.solver, "_initial_basis", lambda A: np.array([0, 0, 1]))
+        rec = run_trial(clean_scenario(), seed=4)
+        by = {r.estimator: r for r in rec.runs}
+        assert by["lad"].status == "error:LinAlgError"
+        assert by["ls"].status == "optimal"
 
     def test_fixed_x_source(self):
         s = Scenario(

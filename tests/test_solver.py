@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 
@@ -6,11 +7,13 @@ import pytest
 
 from ladsysid import (DimensionError, InputDist, SingularSystemError,
                       build_regressor, consistency_scenario, derive_seed,
-                      lad_estimate, ls_estimate, sample_input, scenario_table1)
+                      lad_estimate, ls_estimate, run_experiment, sample_input,
+                      scenario_table1)
+import ladsysid.harness
 import ladsysid.lp
 import ladsysid.solver
 from ladsysid.harness import _draw_trial, config_from_dict
-from ladsysid.solver import _certify_vertex, _leaving_index
+from ladsysid.solver import _SOLVE_ERRSTATE, _certify_vertex, _leaving_index, _solve
 from oracles import highs_box_feasible, highs_lad_objective
 
 
@@ -231,6 +234,121 @@ class TestLargeN:
         assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
 
 
+NOISELESS_PM1 = {
+    "name": "noiseless_pm1", "m": 5, "input": {"kind": "bernoulli_pm1"},
+    "x_source": {"kind": "gaussian_random"}, "noise": {"kind": "none"},
+    "outliers": {"count_model": "uniform_fraction", "max_fraction": 0.8,
+                 "mean": 0.0, "sd": 10.0},
+    "estimators": ["lad", "ls"],
+}
+
+
+class TestNoiselessSweepGolden:
+    """A tiny noiseless +-1 sweep (m=5, n 40 and 100, 5 trials each, seed 1):
+    its degenerate optima go through the vertex certificate.  The trial-CSV
+    sha256 without ``wall_ms``, the LAD iterations and the vertex-check count
+    are frozen from the solver as it stood with one np.linalg.solve per system."""
+
+    CSV_SHA256 = "c7f9edb2632e68eb0cc96cd17232d0e063e2a557c784a71f04e364e1333a6fb7"
+    ITERATIONS = [24, 17, 26, 26, 26, 1, 1, 13, 26, 26]
+    VERTEX_CHECKS = (15, 7)    # calls, certified
+
+    def test_csv_iterations_and_vertex_checks_frozen(self, monkeypatch, tmp_path):
+        iterations, verdicts = [], []
+        lad, check = ladsysid.solver.lad_estimate, ladsysid.solver._certify_vertex
+
+        def recorded_lad(H, y):
+            est = lad(H, y)
+            iterations.append(est.iterations)
+            return est
+
+        def recorded_check(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+        monkeypatch.setitem(ladsysid.harness._ESTIMATORS, "lad", recorded_lad)
+        monkeypatch.setattr(ladsysid.solver, "_certify_vertex", recorded_check)
+        out = tmp_path / "trials.csv"
+        run_experiment(config_from_dict({"scenario": NOISELESS_PM1, "n_grid": [40, 100],
+                                         "trials_per_point": 5, "master_seed": 1,
+                                         "out": str(out)}))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        drop = rows[0].index("wall_ms")
+        text = "\n".join(",".join(c for i, c in enumerate(r) if i != drop) for r in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.CSV_SHA256
+        assert iterations == self.ITERATIONS
+        assert (len(verdicts), sum(verdicts)) == self.VERTEX_CHECKS
+
+
+class TestSolvePath:
+    """``_solve`` runs np.linalg.solve's own gufunc; it must agree bit for bit,
+    raise LinAlgError on a singular system, and the public-wrapper fallback
+    must give the same estimates."""
+
+    @staticmethod
+    def systems(rng):
+        for m in range(1, 11):
+            for kind in ("gaussian", "pm1", "int"):
+                for _ in range(30):
+                    if kind == "gaussian":
+                        a = rng.standard_normal((m, m))
+                    elif kind == "pm1":
+                        a = rng.choice([-1.0, 1.0], size=(m, m))
+                    else:
+                        a = rng.integers(-3, 4, size=(m, m)).astype(float)
+                    yield a, rng.standard_normal(m)
+
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        solved = singular = 0
+        with np.errstate(**_SOLVE_ERRSTATE):
+            for a, b in self.systems(rng):
+                for mat in (a, a.T):
+                    try:
+                        expected = np.linalg.solve(mat, b)
+                    except np.linalg.LinAlgError:
+                        singular += 1
+                        with pytest.raises(np.linalg.LinAlgError):
+                            _solve(mat, b)
+                        continue
+                    got = _solve(mat, b)
+                    assert got.dtype == expected.dtype and got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+                    solved += 1
+        assert solved > 1000 and singular > 0
+
+    def test_exactly_singular_raises(self):
+        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        with np.errstate(**_SOLVE_ERRSTATE):
+            for mat in (a, a.T):
+                with pytest.raises(np.linalg.LinAlgError):
+                    _solve(mat, np.ones(3))
+
+    def test_public_solve_fallback_gives_same_estimates(self, monkeypatch):
+        scen = config_from_dict({"scenario": NOISELESS_PM1, "n_grid": [100]}).scenario
+        cases = [_draw_trial(scen, derive_seed(1, 1, t)) for t in range(5)]
+        cases.append(_draw_trial(consistency_scenario("gaussian", 300), derive_seed(0, 0, 0)))
+        problems = [(H, H.entries @ x + e + w) for H, x, e, w in cases]
+        fast = [lad_estimate(H, y) for H, y in problems]
+
+        calls = []
+        public = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(1)
+            return public(a, b)
+        monkeypatch.setattr(ladsysid.solver, "_solve1", None)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        for (H, y), ref in zip(problems, fast):
+            before = len(calls)
+            est = lad_estimate(H, y)
+            # lam at every pivot, d and x at every pivot that moves, x at the start
+            assert len(calls) - before >= 2 * ref.iterations
+            assert est.x_hat.tobytes() == ref.x_hat.tobytes()
+            assert est.iterations == ref.iterations
+            assert est.status == ref.status
+
+
 class TestVertexCertificate:
     """``_certify_vertex`` on the degenerate vertices that LAD meets in noiseless
     +-1 PRBS sweeps (m=5, up to 80% outliers of sd 10, n 40-600)."""
@@ -264,6 +382,17 @@ class TestVertexCertificate:
             assert got == highs_box_feasible(A[zero_mask].T, -grad_nz, (-1.0, 1.0))
             verdicts.append(got)
         assert any(verdicts) and not all(verdicts)
+
+    def test_noisy_solves_run_no_check(self, monkeypatch):
+        # off the basis no residual of a noisy instance is zero, so no vertex
+        # is degenerate and the check never runs
+        calls = []
+        monkeypatch.setattr(ladsysid.solver, "_certify_vertex",
+                            lambda *args: calls.append(1) or False)
+        for t in range(4):
+            H, x, e, w = _draw_trial(consistency_scenario("gaussian", 300), derive_seed(2, 0, t))
+            assert lad_estimate(H, H.entries @ x + e + w).status == "optimal"
+        assert calls == []
 
     def test_all_rows_zero_is_certified(self):
         # y = Hx exactly: every residual vanishes and the gradient is empty
@@ -364,12 +493,42 @@ class TestErrors:
         with pytest.raises(DimensionError):
             lad_estimate(np.ones((1, 2)), np.zeros(1))
 
+    @pytest.mark.parametrize("where,value", [("y", np.nan), ("y", np.inf), ("y", -np.inf),
+                                             ("H", np.nan), ("H", np.inf)])
+    @pytest.mark.parametrize("estimator", [lad_estimate, ls_estimate])
+    def test_non_finite_input(self, estimator, where, value):
+        H = np.array(gauss_toeplitz(40, 3, seed=15).entries)
+        y = H @ np.ones(3)
+        (y if where == "y" else H)[7] = value
+        with pytest.raises(DimensionError, match="finite"):
+            estimator(H, y)
+
     def test_iteration_limit_status(self):
         H = gauss_toeplitz(50, 3, seed=12)
         y = np.asarray(H.entries @ np.ones(3) + np.arange(50) % 7)
         est = lad_estimate(H, y, max_iter=1)
         assert est.status == "iteration_limit"
         assert est.x_hat.shape == (3,)
+
+
+class TestSmallScale:
+    """y scaled far below 1: the zero tolerance follows max|y| with no floor at 1,
+    so a solve that reports ``optimal`` is optimal.  HiGHS's tolerances are
+    absolute, so it solves y / max|y| and its optimum is scaled back."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-8])
+    def test_optimal_matches_highs_on_normalized_data(self, scale):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            H = gauss_toeplitz(120, 4, seed).entries
+            y = H @ rng.standard_normal(4) + 0.1 * rng.standard_normal(120)
+            y[rng.choice(120, 20, replace=False)] += 10.0 * rng.standard_normal(20)
+            y *= scale
+            top = float(np.abs(y).max())
+            est = lad_estimate(H, y)
+            assert est.status == "optimal"
+            assert est.objective == pytest.approx(highs_lad_objective(H, y / top) * top,
+                                                  rel=1e-9)
 
 
 class TestLsEstimate:
