@@ -11,8 +11,8 @@ methods, whichever the sizes make cheaper:
   directions are scored in batches;
 - one dual LP per sign pattern sigma of (Hz) on K (2^(|K|-1) after the
   z -> -z symmetry): max sigma'(Hz)_K over P equals 1/s* for
-  max s s.t. H_Kbar' v = s H_K' sigma, |v| <= 1, an LP with m equality rows
-  whose row multipliers are the maximizing direction.
+  max s s.t. H_Kbar' v = s H_K' sigma, |v| <= 1, a finite-box LP with m
+  equality rows whose row multipliers are the maximizing direction.
 
 ``certify_support_mc`` is the randomized falsifier for supports too large to
 enumerate, and the remaining functions evaluate the concentration and
@@ -207,25 +207,34 @@ def _pattern_max(A, idx, cidx):
     """Largest ratio over the sign patterns of (Hz)_K, one dual LP each.
 
     Pattern sigma solves min -s s.t. H_Kbar' v - s H_K' sigma = 0,
-    |v| <= 1, s >= 0; its row multipliers are a direction attaining
-    sigma'(Hz)_K = 1/s* on ||(Hz)_Kbar||_1 <= 1, and the ratio is recomputed
-    from that direction.  Returns the ratio and its direction.
+    |v| <= 1, 0 <= s <= 2R / ||H_K' sigma||_inf, R the largest column l1
+    norm of H_Kbar.  Every feasible s has s ||H_K' sigma||_inf <= R, so that
+    upper bound never binds; it only makes the LP a finite box.  A pattern
+    whose bound is not finite (H_K' sigma = 0, or so small beside R that the
+    quotient overflows) is skipped before solving: its ratio is 0.  The row
+    multipliers are a direction attaining sigma'(Hz)_K = 1/s* on
+    ||(Hz)_Kbar||_1 <= 1, and the ratio is recomputed from that direction.
+    Returns the ratio and its direction.
     """
     n, m = A.shape
     hc, hk = A[cidx], A[idx]
     nc = cidx.size
+    reach = float(np.abs(hc).sum(axis=0).max())
     buf = np.empty((1, n))
     cost = np.zeros(nc + 1)
     cost[-1] = -1.0
     bounds = np.tile([-1.0, 1.0], (nc + 1, 1))
-    bounds[-1] = (0.0, np.inf)
     best, best_z = 0.0, None       # the ratio is never negative
     for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
         sigma = np.array((1.0,) + tail)
-        res = solve_lp(LpProblem(c=cost, a_eq=np.column_stack([hc.T, -(sigma @ hk)]),
+        g = sigma @ hk
+        with np.errstate(divide="ignore", over="ignore"):
+            cap = 2.0 * (reach / np.abs(g).max())
+        if not np.isfinite(cap):
+            continue               # ||H_K' sigma||_inf is 0 or below R / 1e308: ratio 0
+        bounds[-1] = (0.0, cap)
+        res = solve_lp(LpProblem(c=cost, a_eq=np.column_stack([hc.T, -g]),
                                  b_eq=np.zeros(m), bounds=bounds))
-        if res.status == "unbounded":
-            continue               # H_K' sigma = 0: the pattern's objective is 0
         if res.status != "optimal":
             raise RuntimeError(f"certification LP ended with status {res.status}")
         on, off = _abs_sums(res.y[None, :], A, buf, idx, cidx)

@@ -16,8 +16,7 @@ pivoting can stall walking equivalent bases; at degenerate vertices the
 solver therefore checks the exact subgradient optimality certificate -- a
 small box-feasibility LP -- and exits as soon as the vertex is provably
 optimal.  That LP has m equality rows, zero cost and the bounds |w| <= 1, so
-``solve_lp`` sends it to its phase-1-only kernel rather than the general
-two-phase simplex.
+``solve_lp`` answers it by phase 1 alone.
 
 Each pivot solves three m x m systems (the prices, the edge direction and the
 new vertex).  They go straight to the LAPACK gufunc behind ``np.linalg.solve``
@@ -26,8 +25,10 @@ the wrapper's per-call checks; the floating-point state that turns a singular
 basis into ``LinAlgError`` is entered once per ``lad_estimate`` call rather than
 once per system.  When numpy lacks that private gufunc the solves fall back to
 ``np.linalg.solve``.  The zero tolerance is ``ZERO_TOL * max|y|`` with no floor
-at 1, so it shrinks with small data.  Both estimators reject a NaN or
-an infinity in H or y with ``DimensionError``.
+at 1, so it shrinks with small data.  Both estimators raise ``DimensionError``
+on a NaN or an infinity in H or y, and on an objective beyond the float range;
+the least-squares norm is first recomputed scaled by max|r|, since its squares
+overflow long before the norm does.
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ def _checked_inputs(H, y):
     if not (np.isfinite(A).all() and np.isfinite(y).all()):
         raise DimensionError("H and y must be finite (found NaN or inf)")
     return A, y
+
+
+def _finite(objective: float) -> float:
+    """``objective``, or DimensionError when it lies beyond the float range."""
+    if not np.isfinite(objective):
+        raise DimensionError("the objective overflows the float range; rescale H or y")
+    return objective
 
 
 def _raise_singular(err, flag):
@@ -192,8 +200,8 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     Returns a vertex solution: at least m residuals vanish when H has full
     column rank.  When the minimizer set is a face rather than a point, the
     returned vertex is one deterministic element of it.  A NaN or inf in H
-    or y raises DimensionError; a basis that turns out singular raises
-    numpy's LinAlgError.
+    or y raises DimensionError, as does a residual sum beyond the float
+    range; a basis that turns out singular raises numpy's LinAlgError.
     """
     A, y = _checked_inputs(H, y)
     n, m = A.shape
@@ -294,7 +302,7 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     residuals = y - A @ x
     return Estimate(
         x_hat=x,
-        objective=float(np.abs(residuals).sum()),
+        objective=_finite(float(np.abs(residuals).sum())),
         residuals=residuals,
         status=status,
         method="lad",
@@ -305,7 +313,8 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
 def ls_estimate(H, y) -> Estimate:
     """Ordinary least squares via SVD (numpy lstsq), unique for full-rank H.
 
-    A NaN or inf in H or y raises DimensionError.
+    A NaN or inf in H or y raises DimensionError, as does a residual norm
+    beyond the float range.
     """
     A, y = _checked_inputs(H, y)
     m = A.shape[1]
@@ -314,9 +323,14 @@ def ls_estimate(H, y) -> Estimate:
         raise SingularSystemError(
             f"regressor matrix is rank deficient (rank {rank} < m = {m})")
     residuals = y - A @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = float(np.linalg.norm(residuals))
+        if not np.isfinite(objective):       # the squares overflowed: scale by max|r|
+            top = float(np.abs(residuals).max())
+            objective = top * float(np.linalg.norm(residuals / top))
     return Estimate(
         x_hat=x,
-        objective=float(np.linalg.norm(residuals)),
+        objective=_finite(objective),
         residuals=residuals,
         status="optimal",
         method="ls",

@@ -131,7 +131,8 @@ class TestExactCertifier:
 
 class TestExactMethods:
     def test_pattern_lps_match_highs_optimum(self):
-        # an instance the general-form pattern LPs once solved to 0.86074
+        # an instance the pattern LPs once solved to 0.86074, before an optimal
+        # exit was re-checked against its rows
         H = gauss_toeplitz(60, 5, seed=7)
         K = [3, 20, 41]
         cert = certify_support_exact(H, K)
@@ -145,17 +146,21 @@ class TestExactMethods:
                                      [0, 3, 5, 8, 10, 13, 15, 18, 20, 23])
         assert (cert.method, cert.work) == ("vertices", 14)
 
-    @pytest.mark.parametrize("method,per_lp", [("vertices", np.inf), ("patterns", 0)])
-    def test_each_method_matches_highs(self, monkeypatch, method, per_lp):
-        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", per_lp)
+    @staticmethod
+    def instances():
         rng = np.random.default_rng(2024)
-        seen = {"certified": 0, "falsified": 0}
         for i in range(40):
             m = 1 + i % 5
             n = int(rng.integers(m + 4, 8 + 5 * m))
             k = int(rng.integers(1, 7))
             H = gauss_toeplitz(n, m, seed=20_000 + i)
-            K = sorted(rng.choice(n, size=k, replace=False).tolist())
+            yield i, H, sorted(rng.choice(n, size=k, replace=False).tolist())
+
+    @pytest.mark.parametrize("method,per_lp", [("vertices", np.inf), ("patterns", 0)])
+    def test_each_method_matches_highs(self, monkeypatch, method, per_lp):
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", per_lp)
+        seen = {"certified": 0, "falsified": 0}
+        for i, H, K in self.instances():
             cert = certify_support_exact(H, K)
             best = highs_pattern_best(H, K)
             assert cert.method == method
@@ -167,14 +172,47 @@ class TestExactMethods:
                 assert balance_gap(H, K, cert.witness) <= 0.0, (i, K)
         assert seen["certified"] > 5 and seen["falsified"] > 5
 
+    def test_pattern_s_bound_never_binds(self, monkeypatch):
+        # every pattern LP's optimal s stays at or below R / ||H_K' sigma||_inf,
+        # half its upper bound, on the instances above and n=60, m=5, K={3,20,41}
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
+        solved = []
+        inner = ladsysid.cert.solve_lp
+
+        def recorded(prob):
+            res = inner(prob)
+            solved.append((float(prob.bounds[-1, 1]), float(res.x[-1])))
+            return res
+        monkeypatch.setattr(ladsysid.cert, "solve_lp", recorded)
+        cases = [(H, K) for _, H, K in self.instances()]
+        cases.append((gauss_toeplitz(60, 5, seed=7), [3, 20, 41]))
+        for H, K in cases:
+            certify_support_exact(H, K)
+        assert len(solved) == 365
+        for cap, s in solved:
+            assert 0.0 < s <= 0.5 * cap * (1.0 + 1e-9)
+
     @pytest.mark.parametrize("per_lp", [np.inf, 0])
     def test_zero_rows_on_support_certified(self, monkeypatch, per_lp):
-        # (Hz)_K = 0 for every z: each sign-pattern LP is unbounded in s
+        # (Hz)_K = 0 for every z: H_K' sigma = 0, so each sign pattern is
+        # skipped before any LP is built
         monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", per_lp)
+        monkeypatch.setattr(ladsysid.cert, "solve_lp", None)
         H = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         cert = certify_support_exact(H, [0, 4])
         assert cert.verdict == "certified"
         assert cert.worst_gap == 1.0
+        assert cert.method == ("vertices" if per_lp else "patterns")
+
+    def test_subnormal_rows_on_support_certified(self, monkeypatch):
+        # ||H_K' sigma||_inf ~ 1e-310: the s bound 2R / ||H_K' sigma||_inf
+        # overflows, and the pattern is skipped like H_K' sigma = 0
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
+        monkeypatch.setattr(ladsysid.cert, "solve_lp", None)
+        H = gauss_toeplitz(20, 2, seed=3).entries.copy()
+        H[[2, 9]] *= 1e-310
+        cert = certify_support_exact(H, [2, 9])
+        assert (cert.verdict, cert.worst_gap, cert.method) == ("certified", 1.0, "patterns")
 
     @pytest.mark.parametrize("K", [[0, 2, 3, 5], list(range(6))])
     def test_rank_deficient_complement_falsified(self, K):

@@ -125,6 +125,21 @@ class TestRunTrial:
                 assert run.status == "error:DimensionError"
                 assert np.isnan(run.error_l2)
 
+    def test_objective_beyond_the_float_range_recorded(self, monkeypatch):
+        # outliers of 1e308 on every row: LAD's residual sum and LS's norm both
+        # lie beyond the float range
+        draw = ladsysid.harness._draw_trial
+
+        def huge_outliers(s, seed):
+            H, x, e, w = draw(s, seed)
+            e[:] = 1e308
+            return H, x, e, w
+
+        monkeypatch.setattr(ladsysid.harness, "_draw_trial", huge_outliers)
+        rec = run_trial(clean_scenario(), seed=4)
+        assert {r.estimator: r.status for r in rec.runs} == {
+            "lad": "error:DimensionError", "ls": "error:DimensionError"}
+
     def test_singular_basis_recorded_as_linalg_error(self, monkeypatch):
         # a basis holding the same row twice is singular at the first solve
         monkeypatch.setattr(ladsysid.solver, "_initial_basis", lambda A: np.array([0, 0, 1]))

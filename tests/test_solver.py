@@ -10,7 +10,6 @@ from ladsysid import (DimensionError, InputDist, SingularSystemError,
                       lad_estimate, ls_estimate, run_experiment, sample_input,
                       scenario_table1)
 import ladsysid.harness
-import ladsysid.lp
 import ladsysid.solver
 from ladsysid.harness import _draw_trial, config_from_dict
 from ladsysid.solver import _SOLVE_ERRSTATE, _certify_vertex, _leaving_index, _solve
@@ -54,23 +53,6 @@ def walk_leaving_index(t, abs_hd, slope, bland, ztol):
         if slope >= -1e-12:
             return int(i)
     return int(order[-1])
-
-
-def general_path_vertex_check(A, zero_mask, grad_nz):
-    """Reference vertex check: the same membership LP solved by the general
-    two-phase simplex, as ``solver._certify_vertex`` did before box-feasibility
-    problems got their own phase-1 kernel."""
-    At = A[zero_mask].T
-    target = -grad_nz
-    p = At.shape[1]
-    res = ladsysid.lp._two_phase(np.zeros(p), np.zeros((0, p)), np.zeros(0), At, target,
-                                 np.full(p, -1.0), np.ones(p), None)
-    if res.status != "optimal":
-        return False
-    w = res.x
-    scale = max(1.0, float(np.abs(target).max()))
-    return (np.abs(w).max(initial=0.0) <= 1.0 + 1e-9
-            and float(np.abs(At @ w - target).max()) <= 1e-8 * scale)
 
 
 class TestTable1Golden:
@@ -373,12 +355,11 @@ class TestVertexCertificate:
         return calls
 
     @pytest.mark.parametrize("n,trials", [(40, 40), (100, 24), (250, 12), (600, 6)])
-    def test_verdicts_match_general_path_and_highs(self, monkeypatch, n, trials):
+    def test_verdicts_match_highs(self, monkeypatch, n, trials):
         calls = self.vertex_checks(monkeypatch, n, trials)
         verdicts = []
         for A, zero_mask, grad_nz in calls:
             got = _certify_vertex(A, zero_mask, grad_nz)
-            assert got == general_path_vertex_check(A, zero_mask, grad_nz)
             assert got == highs_box_feasible(A[zero_mask].T, -grad_nz, (-1.0, 1.0))
             verdicts.append(got)
         assert any(verdicts) and not all(verdicts)
@@ -529,6 +510,38 @@ class TestSmallScale:
             assert est.status == "optimal"
             assert est.objective == pytest.approx(highs_lad_objective(H, y / top) * top,
                                                   rel=1e-9)
+
+
+class TestLargeScale:
+    """y scaled toward the float range on a 60 x 3 Gaussian Toeplitz instance
+    with |y| up to 1: LAD's residual sum is 29 max|y| and LS's norm 4.4 max|y|."""
+
+    @staticmethod
+    def instance():
+        H = gauss_toeplitz(60, 3, seed=0).entries
+        y = np.random.default_rng(1).uniform(-1.0, 1.0, 60)
+        return H, y / np.abs(y).max()
+
+    def test_objectives_scale_at_1e300(self):
+        # LS's squares overflow here; its norm is recomputed scaled by max|r|
+        H, y = self.instance()
+        for estimator in (lad_estimate, ls_estimate):
+            ref, big = estimator(H, y), estimator(H, 1e300 * y)
+            assert big.status == "optimal"
+            assert big.objective == pytest.approx(1e300 * ref.objective, rel=1e-12)
+
+    def test_residual_sum_beyond_the_float_range_raises(self):
+        # LAD's residual sum is 2.9e308 at 1e307; LS's norm, 4.4e307, still fits
+        H, y = self.instance()
+        with pytest.raises(DimensionError, match="float range"):
+            lad_estimate(H, 1e307 * y)
+        ref, big = ls_estimate(H, y), ls_estimate(H, 1e307 * y)
+        assert big.objective == pytest.approx(1e307 * ref.objective, rel=1e-12)
+
+    def test_norm_beyond_the_float_range_raises(self):
+        H, y = self.instance()
+        with pytest.raises(DimensionError, match="float range"):
+            ls_estimate(H, 1.5e308 * np.sign(y))
 
 
 class TestLsEstimate:
