@@ -206,15 +206,19 @@ def _vertex_max(A, idx, cidx):
 def _pattern_max(A, idx, cidx):
     """Largest ratio over the sign patterns of (Hz)_K, one dual LP each.
 
-    Pattern sigma solves min -s s.t. H_Kbar' v - s H_K' sigma = 0,
-    |v| <= 1, 0 <= s <= 2R / ||H_K' sigma||_inf, R the largest column l1
-    norm of H_Kbar.  Every feasible s has s ||H_K' sigma||_inf <= R, so that
-    upper bound never binds; it only makes the LP a finite box.  A pattern
-    whose bound is not finite (H_K' sigma = 0, or so small beside R that the
-    quotient overflows) is skipped before solving: its ratio is 0.  The row
-    multipliers are a direction attaining sigma'(Hz)_K = 1/s* on
-    ||(Hz)_Kbar||_1 <= 1, and the ratio is recomputed from that direction.
-    Returns the ratio and its direction.
+    Pattern sigma solves max s s.t. H_Kbar' v = s H_K' sigma, |v| <= 1,
+    0 <= s <= 2R / ||H_K' sigma||_inf, R the largest column l1 norm of
+    H_Kbar.  Every feasible s has s ||H_K' sigma||_inf <= R, so that upper
+    bound never binds; it only makes the LP a finite box.  The LP runs in
+    t = s ||H_K' sigma||_inf, whose column H_K' sigma / ||H_K' sigma||_inf
+    has largest entry 1 and whose bound is 2R, so a tiny H_K' sigma (rows
+    of H_K near zero, or sigma'H_K cancelling to rounding) neither leaves
+    the kernel an entering column below its pivot threshold nor overflows
+    the bound.  A pattern with H_K' sigma = 0 is skipped before solving:
+    its ratio is 0.  The row multipliers are a direction attaining
+    sigma'(Hz)_K = ||H_K' sigma||_inf / t* on ||(Hz)_Kbar||_1 <= 1, and the
+    ratio is recomputed from that direction.  Returns the ratio and its
+    direction.
     """
     n, m = A.shape
     hc, hk = A[cidx], A[idx]
@@ -224,16 +228,15 @@ def _pattern_max(A, idx, cidx):
     cost = np.zeros(nc + 1)
     cost[-1] = -1.0
     bounds = np.tile([-1.0, 1.0], (nc + 1, 1))
+    bounds[-1] = (0.0, 2.0 * reach)
     best, best_z = 0.0, None       # the ratio is never negative
     for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
         sigma = np.array((1.0,) + tail)
         g = sigma @ hk
-        with np.errstate(divide="ignore", over="ignore"):
-            cap = 2.0 * (reach / np.abs(g).max())
-        if not np.isfinite(cap):
-            continue               # ||H_K' sigma||_inf is 0 or below R / 1e308: ratio 0
-        bounds[-1] = (0.0, cap)
-        res = solve_lp(LpProblem(c=cost, a_eq=np.column_stack([hc.T, -g]),
+        norm = np.abs(g).max()
+        if not norm > 0.0:
+            continue               # H_K' sigma = 0: ratio 0
+        res = solve_lp(LpProblem(c=cost, a_eq=np.column_stack([hc.T, -g / norm]),
                                  b_eq=np.zeros(m), bounds=bounds))
         if res.status != "optimal":
             raise RuntimeError(f"certification LP ended with status {res.status}")

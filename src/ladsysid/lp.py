@@ -18,8 +18,9 @@ rule engaged while steps are degenerate so the method cannot cycle.  The
 basis inverse is kept explicitly and refreshed by row reduction; it drifts
 over many pivots, so an optimal exit is re-checked against the original rows
 and bounds.  On a violation the basic values (and multipliers) are rebuilt
-from the basis columns, and a point still infeasible after that is reported
-as ``inaccurate``, never ``optimal``.
+from the basis columns; a point still infeasible after that, or rebuilt
+multipliers that price a column in, is reported as ``inaccurate``, never
+``optimal``.
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ def _box_feasibility(a, b, c, lo, hi, max_iter) -> LpResult:
             return LpResult(status="inaccurate", x=w, iterations=iterations)
         if phase2:
             y = np.linalg.solve(cols.T, cost_b)
+            if ((y @ a - c) * dirs > gtol).any():
+                # the prices that ended phase 2 had drifted: not optimal
+                return LpResult(status="inaccurate", x=w, iterations=iterations)
     return LpResult(status="optimal", x=w, iterations=iterations, y=y)
 
 

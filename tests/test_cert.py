@@ -173,8 +173,9 @@ class TestExactMethods:
         assert seen["certified"] > 5 and seen["falsified"] > 5
 
     def test_pattern_s_bound_never_binds(self, monkeypatch):
-        # every pattern LP's optimal s stays at or below R / ||H_K' sigma||_inf,
-        # half its upper bound, on the instances above and n=60, m=5, K={3,20,41}
+        # every pattern LP's optimal t = s ||H_K' sigma||_inf stays at or below
+        # R, half its upper bound 2R, on the instances above and n=60, m=5,
+        # K={3,20,41}
         monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
         solved = []
         inner = ladsysid.cert.solve_lp
@@ -204,15 +205,35 @@ class TestExactMethods:
         assert cert.worst_gap == 1.0
         assert cert.method == ("vertices" if per_lp else "patterns")
 
-    def test_subnormal_rows_on_support_certified(self, monkeypatch):
-        # ||H_K' sigma||_inf ~ 1e-310: the s bound 2R / ||H_K' sigma||_inf
-        # overflows, and the pattern is skipped like H_K' sigma = 0
-        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
-        monkeypatch.setattr(ladsysid.cert, "solve_lp", None)
+    @staticmethod
+    def patterns_match_vertices(monkeypatch, H, K):
+        certs = []
+        for per_lp in (0, np.inf):
+            monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", per_lp)
+            certs.append(certify_support_exact(H, K))
+        assert [c.method for c in certs] == ["patterns", "vertices"]
+        assert certs[0].verdict == certs[1].verdict == "certified"
+        assert certs[0].worst_gap == pytest.approx(certs[1].worst_gap, abs=1e-12)
+        return certs[0]
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-13])
+    def test_tiny_rows_on_support_certified(self, monkeypatch, scale):
+        # ||H_K' sigma||_inf is ~scale while R is ~1: each pattern LP runs
+        # on the column H_K' sigma / ||H_K' sigma||_inf, so no s bound
+        # overflows and the entering column is not below the pivot threshold
         H = gauss_toeplitz(20, 2, seed=3).entries.copy()
-        H[[2, 9]] *= 1e-310
-        cert = certify_support_exact(H, [2, 9])
-        assert (cert.verdict, cert.worst_gap, cert.method) == ("certified", 1.0, "patterns")
+        H[[2, 9]] *= scale
+        cert = self.patterns_match_vertices(monkeypatch, H, [2, 9])
+        assert cert.worst_gap == pytest.approx(1.0, abs=10 * scale)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_dependent_row_on_support_certified(self, monkeypatch, m, seed):
+        # H_12 is the float sum of H_4 and H_20, so sigma = (1, -1, 1) leaves
+        # H_K' sigma at rounding size
+        H = gauss_toeplitz(10 * (m + 1), m, seed=seed).entries.copy()
+        H[12] = H[4] + H[20]
+        self.patterns_match_vertices(monkeypatch, H, [4, 12, 20])
 
     @pytest.mark.parametrize("K", [[0, 2, 3, 5], list(range(6))])
     def test_rank_deficient_complement_falsified(self, K):

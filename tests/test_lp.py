@@ -168,8 +168,8 @@ class TestVertexEnumerationOracle:
 class TestFinalFeasibilityCheck:
     """The sign-pattern LPs of an exact certification (n=60, m=5, K={3,20,41},
     Gaussian input seed 7), in the form ``cert._pattern_max`` builds them:
-    min -s s.t. H_Kbar' v - s H_K' sigma = 0, |v| <= 1, 0 <= s <= 2R/||H_K' sigma||_inf.
-    Their optimal exits come from phase 2."""
+    min -t s.t. H_Kbar' v - t H_K' sigma / ||H_K' sigma||_inf = 0, |v| <= 1,
+    0 <= t <= 2R.  Their optimal exits come from phase 2."""
 
     @staticmethod
     def pattern_lps():
@@ -184,8 +184,9 @@ class TestFinalFeasibilityCheck:
         for tail in itertools.product((1.0, -1.0), repeat=len(K) - 1):
             g = np.array((1.0,) + tail) @ hk
             bounds = np.tile([-1.0, 1.0], (nc + 1, 1))
-            bounds[-1] = (0.0, 2.0 * reach / np.abs(g).max())
-            yield LpProblem(c=c, a_eq=np.column_stack([hc.T, -g]), b_eq=np.zeros(5),
+            bounds[-1] = (0.0, 2.0 * reach)
+            yield LpProblem(c=c, a_eq=np.column_stack([hc.T, -g / np.abs(g).max()]),
+                            b_eq=np.zeros(5),
                             bounds=bounds)
 
     @staticmethod
@@ -225,6 +226,29 @@ class TestFinalFeasibilityCheck:
         results = [solve_lp(prob) for prob in self.pattern_lps()]
         assert {res.status for res in results} == {"inaccurate"}
         assert all(res.x is not None and res.y is None for res in results)
+
+    def test_rebuilt_prices_that_price_a_column_in_are_not_optimal(self, monkeypatch):
+        # the first re-check fails and turns column 2 (nonbasic at 0) into one
+        # the rebuilt multipliers price in: the loop's basis inverse belongs to
+        # the old columns, as after drift, and the exit must not be optimal
+        a = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.5]])
+        b, c = np.array([1.0, 0.25]), np.array([-1.0, -2.0, 0.0])
+        lo, hi = np.zeros(3), np.ones(3)
+        res = ladsysid.lp._box_feasibility(a.copy(), b, c, lo, hi, 100)
+        assert res.status == "optimal" and res.x[2] == 0.0
+        check = ladsysid.lp._violation
+        seen = []
+
+        def first_fails(a_, *args):
+            seen.append(check(a_, *args))
+            if len(seen) > 1:
+                return seen[-1]
+            a_[:, 2] = (-1.0, 0.0)
+            return 1.0
+        monkeypatch.setattr(ladsysid.lp, "_violation", first_fails)
+        res = ladsysid.lp._box_feasibility(a.copy(), b, c, lo, hi, 100)
+        assert len(seen) == 2 and seen[1] <= 1e-12
+        assert res.status == "inaccurate" and res.y is None
 
 
 class TestBoxFeasibility:
