@@ -28,7 +28,7 @@ from .errors import ConfigError, LadSysIdError, SpecError
 from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec,
                      build_regressor, derive_seed, rng_from_seed, sample_input,
                      sample_noise, sample_outliers)
-from .solver import Estimate, lad_estimate, ls_estimate
+from .solver import Estimate, l2_norm, lad_estimate, ls_estimate
 
 __all__ = [
     "XSource",
@@ -159,7 +159,7 @@ def run_trial(s: Scenario, seed: int, trial_index: int = 0) -> TrialRecord:
             runs.append(EstimatorRun(
                 estimator=name,
                 x_hat=est.x_hat,
-                error_l2=float(np.linalg.norm(est.x_hat - x)),
+                error_l2=l2_norm(est.x_hat - x),
                 objective=est.objective,
                 status=est.status,
                 wall_ms=wall,

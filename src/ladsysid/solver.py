@@ -5,11 +5,13 @@ iterate is a vertex interpolating m observations (the basis rows), and a move
 swaps one basis row along the steepest descent edge, passing through multiple
 residual sign changes per step.  The line search along that edge walks the
 breakpoints where residuals cross zero in increasing order until the slope
-turns nonnegative; it rarely walks far, so the first breakpoints are selected
-with ``np.partition`` and only they are sorted, the selection widening
-geometrically when the walk needs more.  Nonbasic subgradient signs are carried
-explicitly so rows whose residual is exactly zero keep a valid sign, and
-Bland's smallest-index rule takes over while steps are degenerate.  Because
+turns nonnegative.  It rarely walks far: on a large candidate set a strided
+sample of the breakpoints bounds a tie-closed prefix {t <= T} that very likely
+holds the stop, only that prefix is sorted, and when the stop lies beyond T
+the walk goes on over the rest from the prefix's last slope.  Nonbasic
+subgradient signs are carried explicitly so rows whose residual is exactly
+zero keep a valid sign, and Bland's smallest-index rule takes over while steps
+are degenerate.  Because
 the noiseless outlier-correction problems this package targets are massively
 degenerate at the optimum (every clean row has zero residual there), plain
 pivoting can stall walking equivalent bases; at degenerate vertices the
@@ -17,6 +19,16 @@ solver therefore checks the exact subgradient optimality certificate -- a
 small box-feasibility LP -- and exits as soon as the vertex is provably
 optimal.  That LP has m equality rows, zero cost and the bounds |w| <= 1, so
 ``solve_lp`` answers it by phase 1 alone.
+
+At large n a pivot is a few passes over the rows besides its three n x m
+products (the prices ``A.T @ sigma``, the edge ``A @ d`` and the residuals
+``A @ x``), and each per-row quantity is computed once, into buffers reused
+across pivots: sigma is 0 on the basis rows, so the price product needs no
+masked copy; the one product sigma * hd both selects the rows that cross zero
+(it equals |hd| exactly where the signs agree) and weights the line search;
+and the breakpoints come from one full-length divide.  The initial basis is one
+pivoted QR by LAPACK ``geqp3``, without forming Q.  None of this changes a
+rounding: the estimates are bit for bit those of a full sort per pivot.
 
 Each pivot solves three m x m systems (the prices, the edge direction and the
 new vertex).  They go straight to the LAPACK gufunc behind ``np.linalg.solve``
@@ -28,7 +40,10 @@ once per system.  When numpy lacks that private gufunc the solves fall back to
 at 1, so it shrinks with small data.  Both estimators raise ``DimensionError``
 on a NaN or an infinity in H or y, and on an objective beyond the float range;
 the least-squares norm is first recomputed scaled by max|r|, since its squares
-overflow long before the norm does.
+overflow long before the norm does (``l2_norm``, which the harness's error norm
+shares).  The vertex certificate scales each of its m rows by a power of two,
+which is exact, so its absolute tolerances hold every row to its own scale
+and LAD's verdicts do not change when columns of H are rescaled.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqp3 as _geqp3
 
 from .errors import DimensionError, SingularSystemError
 from .lp import LpProblem, solve_lp
@@ -98,6 +113,17 @@ def _finite(objective: float) -> float:
     return objective
 
 
+def l2_norm(v: np.ndarray) -> float:
+    """The Euclidean norm of v, without overflow: when the squares of a finite
+    v overflow, it is recomputed scaled by max|v|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(v))
+        if np.isinf(norm) and np.isfinite(v).all():
+            top = float(np.abs(v).max())
+            norm = top * float(np.linalg.norm(v / top))
+    return norm
+
+
 def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -121,14 +147,21 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _initial_basis(A: np.ndarray) -> np.ndarray:
-    """m linearly independent rows found by pivoted QR of the transpose."""
+    """m linearly independent rows found by pivoted QR of the transpose.
+
+    Calls LAPACK geqp3 directly, after the same workspace query that
+    ``scipy.linalg.qr(pivoting=True)`` makes, so the pivots and R agree with it
+    bit for bit; Q is never formed.  The query does not touch the matrix, so it
+    may run on A itself; the factorization runs on a copy.
+    """
     n, m = A.shape
-    _, rdiag, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(rdiag))
-    if diag.size < m or diag[m - 1] <= max(n, m) * np.finfo(float).eps * max(diag[0], 1e-300):
+    lwork = int(_geqp3(A.T, lwork=-1, overwrite_a=True)[3][0])
+    qr, piv = _geqp3(A.T, lwork=lwork)[:2]
+    diag = np.abs(np.diag(qr))
+    if diag[m - 1] <= max(n, m) * np.finfo(float).eps * max(diag[0], 1e-300):
         raise SingularSystemError(
             f"regressor matrix is rank deficient (rank < m = {m})")
-    return np.sort(piv[:m]).astype(int)
+    return np.sort(piv[:m] - 1).astype(int)
 
 
 def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -> bool:
@@ -139,9 +172,20 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
     a box-feasibility LP with m equality constraints, which ``solve_lp``
     answers by phase 1 alone.  The returned certificate is re-verified
     directly so the decision does not lean on the LP's internal tolerances.
+
+    Those tolerances are absolute, in the units of the largest row, so each
+    row j of (At, target) is first scaled by the power of two that brings
+    max|At_j| (|target_j| when At_j = 0) into [1, 2).  That is exact, it
+    undoes any power-of-two scaling of H's columns, and it leaves a row of
+    +-1 entries as it is.
     """
     At = A[zero_mask].T  # m x |T|
     target = -grad_nz
+    size = np.abs(At).max(axis=1, initial=0.0)
+    size = np.where(size > 0.0, size, np.abs(target))
+    shift = 1 - np.frexp(size)[1]
+    At = np.ldexp(At, shift[:, None])
+    target = np.ldexp(target, shift)
     res = solve_lp(LpProblem(
         c=np.zeros(At.shape[1]),
         a_eq=At,
@@ -156,42 +200,69 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
             and float(np.abs(At @ w - target).max()) <= 1e-8 * scale)
 
 
-def _leaving_index(t: np.ndarray, abs_hd: np.ndarray, slope: float, bland: bool,
-                   ztol: float) -> int:
-    """Position of the leaving row among the candidate rows (ascending row order).
+#: breakpoints sampled to bound the line search's prefix; at most twice as
+#: many candidates are sorted whole
+_SAMPLE = 512
 
-    ``t`` holds each candidate's breakpoint along the edge and ``abs_hd`` its
-    |h_i'd|; the directional derivative starts at ``slope`` (< 0) and rises by
-    2|h_i'd| at each breakpoint.  Under Bland's rule the smallest row whose
-    breakpoint is within ``ztol`` of the first one leaves.  Otherwise the line
-    search stops at the first breakpoint, in (t, row) order, where the slope
-    turns nonnegative (up to 1e-12), or at the last one.
 
-    The search rarely walks far, so only a prefix is selected by
-    ``np.partition`` and sorted; it holds every breakpoint tied with its
-    largest and widens 4x until the search stops inside it.  The prefix is
-    sorted by numpy's default (unstable, several times faster) argsort, and
-    exact ties, rare off degenerate vertices, are then put in row order.  The
-    slope is accumulated left to right, exactly as a walk over the fully
-    sorted breakpoints would.
+def _prefix_bound(t: np.ndarray, rows: np.ndarray, w: np.ndarray, rise: float) -> float:
+    """A breakpoint T such that the slope very likely rises by ``rise`` over
+    {t <= T}, read off a strided sample of about ``_SAMPLE`` breakpoints whose
+    weights stand for ``stride`` rows each, plus a few sample points for safety."""
+    stride = t.size // _SAMPLE
+    ts = t[::stride]
+    order = ts.argsort()
+    gained = w[rows[::stride][order]].cumsum()
+    q = int(gained.searchsorted(rise / (2.0 * stride))) + 8
+    return ts[order[q]] if q < ts.size else np.inf
+
+
+def _leaving_index(t: np.ndarray, rows: np.ndarray, w: np.ndarray, slope: float,
+                   bland: bool, ztol: float) -> tuple[int, float]:
+    """The leaving row and its breakpoint.
+
+    ``t`` holds each candidate's breakpoint along the edge, ``rows`` its row
+    (ascending) and ``w[rows]`` its |h_i'd|; the directional derivative starts
+    at ``slope`` (< 0) and rises by 2|h_i'd| at each breakpoint.  Under
+    Bland's rule the smallest row whose breakpoint is within ``ztol`` of the
+    first one leaves.  Otherwise the line search stops at the first
+    breakpoint, in (t, row) order, where the slope turns nonnegative (up to
+    1e-12), or at the last one.
+
+    The search rarely walks far.  Beyond ``2 * _SAMPLE`` candidates it walks
+    only the tie-closed prefix {t <= T}, with T from ``_prefix_bound``; when
+    the stop lies beyond T it goes on over the rest in the same way, from the
+    prefix's last slope.  Each prefix is sorted by numpy's default (unstable,
+    several times faster) argsort, and exact ties, rare off degenerate
+    vertices, are then put in row order.  The slope is accumulated left to
+    right by a sequential cumsum, so every sum is the one a walk over the
+    fully sorted breakpoints makes, and no breakpoint is sorted twice.
     """
     if bland:
-        return int((t <= t.min() + ztol).argmax())
-    k = 128
+        j = int((t <= t.min() + ztol).argmax())
+        return int(rows[j]), float(t[j])
     while True:
-        k = min(k, t.size)
-        head = (t <= np.partition(t, k - 1)[k - 1]).nonzero()[0]
-        order = t[head].argsort()
-        ts = t[head[order]]
+        bound = np.inf
+        if t.size > 2 * _SAMPLE:
+            bound = _prefix_bound(t, rows, w, -slope)
+            head = (t <= bound).nonzero()[0]
+            head = head[t[head].argsort()]
+        else:
+            head = t.argsort()
+        ts = t[head]
         if (ts[1:] == ts[:-1]).any():
-            order = order[np.lexsort((order, ts))]
-        head = head[order]
-        stops = np.concatenate(([slope], 2.0 * abs_hd[head])).cumsum()[1:] >= -1e-12
-        if stops.any():
-            return int(head[stops.argmax()])
-        if k == t.size:
-            return int(head[-1])
-        k *= 4
+            head = head[np.lexsort((head, ts))]
+        rising = 2.0 * w[rows[head]]
+        rising[0] += slope
+        rising = rising.cumsum()
+        stops = rising >= -1e-12
+        i = int(stops.argmax())
+        if stops[i] or head.size == t.size:
+            j = head[i] if stops[i] else head[-1]
+            return int(rows[j]), float(t[j])
+        slope = rising[-1]
+        rest = (t > bound).nonzero()[0]
+        t, rows = t[rest], rows[rest]
 
 
 def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
@@ -216,10 +287,17 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     with np.errstate(**_SOLVE_ERRSTATE):
         AB = A[basis]
         x = _solve(AB, y[basis])
-        r = y - A @ x
+        # per-row buffers, reused by every pivot
+        r, hd, prod, quot = np.empty((4, n))
+        cand, zero_off = np.empty((2, n), dtype=bool)
+        np.subtract(y, np.matmul(A, x, out=r), out=r)
+        # sigma: sign(r) off the basis where |r| > ztol, the subgradient sign
+        # where |r| <= ztol, and 0 on the basis
         sigma = np.where(r >= 0, 1.0, -1.0)
-        zero_off = np.abs(r) <= ztol
-        sig_nb = np.empty(n)
+        sigma[basis] = 0.0
+        np.less_equal(np.abs(r), ztol, out=zero_off)
+        zero_off[basis] = False
+        has_zero = zero_off.any()
 
         bland = False
         checked_degenerate = -10**9
@@ -228,18 +306,13 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
 
         while it < max_iter:
             it += 1
-            # AB and zero_off (|r| <= ztol) carry over from the previous re-solve
-            np.copyto(sig_nb, sigma)
-            sig_nb[basis] = 0.0
-            zero_off[basis] = False
-
-            g = A.T @ sig_nb
+            g = A.T @ sigma
             lam = _solve(AB.T, g)
             viol = np.abs(lam) - 1.0
 
             if bland:
-                cand = (viol > OPT_TOL).nonzero()[0]
-                optimal = cand.size == 0
+                violated = (viol > OPT_TOL).nonzero()[0]
+                optimal = violated.size == 0
             else:
                 p = int(viol.argmax())
                 optimal = viol[p] <= OPT_TOL
@@ -247,7 +320,7 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
                 status = "optimal"
                 break
 
-            if zero_off.any() and (it - checked_degenerate) >= 25:
+            if has_zero and (it - checked_degenerate) >= 25:
                 checked_degenerate = it
                 zero_mask = zero_off.copy()
                 zero_mask[basis] = True
@@ -258,35 +331,33 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
                     break
 
             if bland:
-                p = int(cand[0])  # basis kept sorted: first violation = smallest row
+                p = int(violated[0])  # basis kept sorted: first violation = smallest row
             s = 1.0 if lam[p] > 0 else -1.0
 
             e_p = np.zeros(m)
             e_p[p] = s
             d = _solve(AB, e_p)
-            hd = A @ d
+            np.matmul(A, d, out=hd)
             hd[basis] = 0.0
 
-            abs_hd = np.abs(hd)
-            movable = abs_hd > 1e-11 * max(1.0, float(abs_hd.max()))
-            # rows whose residual reaches zero along d: a nonzero residual of the
-            # sign of hd, or a zero residual whose subgradient sign is that of hd
-            # (it blocks at t = 0); off the basis sigma is sign(r) wherever
-            # |r| > ztol and the subgradient sign elsewhere
-            cand_rows = (movable & ((sigma > 0) == (hd > 0))).nonzero()[0]
+            # rows whose residual reaches zero along d: sigma (+-1 off the
+            # basis) agrees with the sign of hd, so sigma * hd = |hd|, above
+            # a floor; a zero residual among them blocks at t = 0
+            np.multiply(sigma, hd, out=prod)
+            floor = 1e-11 * max(1.0, float(hd.max()), -float(hd.min()))
+            cand_rows = np.greater(prod, floor, out=cand).nonzero()[0]
             if cand_rows.size == 0:
                 # cannot happen for full-rank LAD (objective grows along any ray)
                 status = "degenerate_fallback"
                 break
-            t = r[cand_rows] / hd[cand_rows]
-            t[zero_off[cand_rows]] = 0.0
+            with np.errstate(invalid="ignore"):   # 0/0 off the candidates
+                np.divide(r, hd, out=quot)
+            t = quot[cand_rows]
+            if has_zero:
+                t[zero_off[cand_rows]] = 0.0
 
-            j = _leaving_index(t, abs_hd[cand_rows], 1.0 - abs(lam[p]), bland, ztol)
-            leave = int(cand_rows[j])
-            t_star = float(t[j])
-
-            degenerate_step = t_star * abs_hd[leave] <= ztol
-            bland = degenerate_step
+            leave, t_star = _leaving_index(t, cand_rows, prod, 1.0 - abs(lam[p]), bland, ztol)
+            bland = t_star * prod[leave] <= ztol     # a degenerate step
 
             b_row = basis[p]
             basis[p] = leave
@@ -294,16 +365,24 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
             sigma[b_row] = -s
             AB = A[basis]
             x = _solve(AB, y[basis])
-            r = y - A @ x
-            live = np.abs(r) > ztol
-            np.copysign(1.0, r, out=sigma, where=live)
-            zero_off = ~live
+            np.subtract(y, np.matmul(A, x, out=r), out=r)
+            np.less_equal(np.abs(r, out=quot), ztol, out=zero_off)
+            zero_off[basis] = False
+            has_zero = zero_off.any()
+            if has_zero:
+                zero_rows = zero_off.nonzero()[0]
+                kept = sigma[zero_rows]
+            np.copysign(1.0, r, out=sigma)
+            if has_zero:
+                sigma[zero_rows] = kept
+            sigma[basis] = 0.0
 
-    residuals = y - A @ x
+    with np.errstate(over="ignore"):
+        objective = float(np.abs(r).sum())
     return Estimate(
         x_hat=x,
-        objective=_finite(float(np.abs(residuals).sum())),
-        residuals=residuals,
+        objective=_finite(objective),
+        residuals=r,
         status=status,
         method="lad",
         iterations=it,
@@ -322,12 +401,9 @@ def ls_estimate(H, y) -> Estimate:
     if rank < m:
         raise SingularSystemError(
             f"regressor matrix is rank deficient (rank {rank} < m = {m})")
-    residuals = y - A @ x
-    with np.errstate(over="ignore", invalid="ignore"):
-        objective = float(np.linalg.norm(residuals))
-        if not np.isfinite(objective):       # the squares overflowed: scale by max|r|
-            top = float(np.abs(residuals).max())
-            objective = top * float(np.linalg.norm(residuals / top))
+    with np.errstate(over="ignore"):
+        residuals = y - A @ x
+    objective = l2_norm(residuals)
     return Estimate(
         x_hat=x,
         objective=_finite(objective),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -139,6 +140,21 @@ class TestRunTrial:
         rec = run_trial(clean_scenario(), seed=4)
         assert {r.estimator: r.status for r in rec.runs} == {
             "lad": "error:DimensionError", "ls": "error:DimensionError"}
+
+    def test_error_l2_beyond_the_squares_range_stays_finite(self):
+        # 25 outliers of ~1e200 on 40 rows: LS's x_hat reaches 1.4e199, whose
+        # square overflows; the norm is recomputed scaled by max|x_hat - x|
+        s = Scenario(name="huge-outliers", n=40, m=3, input=InputDist.gaussian(1.0),
+                     x_source=XSource.gaussian_random(), noise=NoiseSpec.none(),
+                     outliers=OutlierSpec.fixed(25, magnitude=Magnitude(1e200, 5e199)),
+                     estimators=("lad", "ls"))
+        rec = run_trial(s, seed=4)
+        _, x, _, _ = _draw_trial(s, 4)
+        by = {r.estimator: r for r in rec.runs}
+        assert by["ls"].status == "optimal" and np.abs(by["ls"].x_hat).max() > 1e199
+        for run in rec.runs:
+            assert run.error_l2 == pytest.approx(math.hypot(*(run.x_hat - x)), rel=1e-14)
+        assert by["lad"].error_l2 == float(np.linalg.norm(by["lad"].x_hat - x))
 
     def test_singular_basis_recorded_as_linalg_error(self, monkeypatch):
         # a basis holding the same row twice is singular at the first solve

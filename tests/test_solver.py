@@ -135,7 +135,7 @@ class TestLeavingRowSelection:
 
     @staticmethod
     def check(t, abs_hd, slope, bland=False, ztol=1e-9):
-        got = _leaving_index(t, abs_hd, slope, bland, ztol)
+        got = _leaving_index(t, np.arange(t.size), abs_hd, slope, bland, ztol)[0]
         assert got == walk_leaving_index(t, abs_hd, slope, bland, ztol)
         return got
 
@@ -192,6 +192,68 @@ class TestLeavingRowSelection:
             t = rng.integers(0, 4, size=size) * 1e-9 + rng.integers(0, 3, size=size)
             self.check(t, abs_hd, slope, bland=True, ztol=float(rng.choice([0.0, 1e-9, 3e-9])))
 
+    # Beyond 2 * _SAMPLE candidates the walk covers sampled prefixes {t <= T}
+
+    @staticmethod
+    def prefix_rounds(monkeypatch):
+        rounds = []
+        bound = ladsysid.solver._prefix_bound
+
+        def counted(*args):
+            rounds.append(1)
+            return bound(*args)
+        monkeypatch.setattr(ladsysid.solver, "_prefix_bound", counted)
+        return rounds
+
+    def test_large_candidate_sets(self):
+        rng = np.random.default_rng(35)
+        for size in (1024, 1025, 1500, 4000, 12000, 30000):
+            for _ in range(4):
+                abs_hd = rng.exponential(size=size)
+                slope = -rng.uniform(0.0, 1.0) ** 3 * 2.0 * float(abs_hd.sum())
+                self.check(rng.exponential(size=size), abs_hd, slope)
+
+    def test_stops_several_continuation_rounds_deep(self, monkeypatch):
+        # breakpoints rising with the row and the weight on every period-th row,
+        # period near the sampling stride: the sample misjudges the rise, and
+        # the walk goes on from the last slope of each prefix
+        rounds = self.prefix_rounds(monkeypatch)
+        rng = np.random.default_rng(36)
+        deepest = 0
+        for case in range(24):
+            size = 30000 if case % 2 else int(rng.integers(2000, 30000))
+            t = np.sort(rng.exponential(size=size))
+            if case % 3 == 0:
+                t = np.round(t * 20.0) / 20.0
+            period = size // 512 + int(rng.integers(-1, 2))
+            abs_hd = np.where(np.arange(size) % period == 0, 1.0, 1e-4)
+            slope = -rng.uniform(0.05, 1.05) * 2.0 * float(abs_hd.sum())
+            rounds.clear()
+            self.check(t, abs_hd, slope)
+            deepest = max(deepest, len(rounds))
+        assert deepest >= 3
+
+    def test_large_exact_ties_straddle_sample_points(self, monkeypatch):
+        rounds = self.prefix_rounds(monkeypatch)
+        rng = np.random.default_rng(37)
+        for size in (1100, 5000, 30000):
+            for levels in (3, 40, 1000):
+                t = rng.integers(0, levels, size=size).astype(float)
+                t[rng.random(size) < 0.3] = 0.0     # blocking rows
+                abs_hd = rng.exponential(size=size)
+                slope = -rng.uniform(0.0, 1.0) * 2.0 * float(abs_hd.sum())
+                self.check(t, abs_hd, slope)
+        assert rounds
+
+    def test_large_slope_never_turns_returns_last_row(self):
+        rng = np.random.default_rng(38)
+        for size in (1025, 2048, 30000):
+            t = rng.integers(0, 500, size=size).astype(float)
+            abs_hd = rng.exponential(size=size)
+            slope = -2.0 * float(abs_hd.sum()) - 1.0
+            last = max(np.flatnonzero(t == t.max()))
+            assert self.check(t, abs_hd, slope) == last
+
 
 class TestLargeN:
     """Three n=3000 consistency trials; iterations and x_hat bytes are frozen
@@ -214,6 +276,18 @@ class TestLargeN:
         iterations, digest = self.FROZEN[trial]
         assert est.iterations == iterations
         assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
+
+    def test_consistency_gaussian_n30000(self):
+        # frozen from the solver with a partition-selected ratio test prefix
+        # and one scipy.linalg.qr for the initial basis
+        H, x, e, w = _draw_trial(consistency_scenario("gaussian", 30000), derive_seed(0, 0, 0))
+        y = H.entries @ x + e + w
+        est = lad_estimate(H, y)
+        assert est.status == "optimal"
+        assert est.objective == pytest.approx(highs_lad_objective(H, y), rel=1e-9)
+        assert est.iterations == 27
+        assert (hashlib.sha256(est.x_hat.tobytes()).hexdigest()
+                == "87bdd6c12ea82e1ad536982c5135d3274ff146ace076d515455a2bb54ffaea0a")
 
 
 NOISELESS_PM1 = {
@@ -510,6 +584,62 @@ class TestSmallScale:
             assert est.status == "optimal"
             assert est.objective == pytest.approx(highs_lad_objective(H, y / top) * top,
                                                   rel=1e-9)
+
+
+def toeplitz_instance(kind, n, m, seed, noise):
+    """A Toeplitz LAD instance with n // 4 outliers: Gaussian, +-1 or quantized
+    (steps of 1/4) input, with or without Gaussian noise of sd 0.1."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        u = rng.standard_normal(n + m - 1)
+    elif kind == "pm1":
+        u = rng.choice([-1.0, 1.0], size=n + m - 1)
+    else:
+        u = np.round(4.0 * rng.standard_normal(n + m - 1)) / 4.0
+    H = build_regressor(u, n, m).entries
+    y = H @ rng.standard_normal(m)
+    if noise:
+        y += 0.1 * rng.standard_normal(n)
+    y[rng.choice(n, n // 4, replace=False)] += 10.0 * rng.standard_normal(n // 4)
+    return H, y
+
+
+INSTANCE_KINDS = [(kind, noise) for kind in ("gaussian", "pm1", "quantized")
+                  for noise in (False, True)]
+
+
+class TestPowerOfTwoScaling:
+    """Rescaling y or a column of H by a power of two is exact in floating
+    point, so LAD must follow it exactly: the same pivots, x_hat and objective
+    scaled bit for bit, and ``optimal`` only at the optimum."""
+
+    @pytest.mark.parametrize("kind,noise", INSTANCE_KINDS)
+    def test_y_scaling_is_exact(self, kind, noise):
+        for seed in range(6):
+            H, y = toeplitz_instance(kind, 60 + 20 * seed, 2 + seed % 4, seed, noise)
+            base = lad_estimate(H, y)
+            for k in (20, -20, 40, -40):
+                est = lad_estimate(H, np.ldexp(y, k))
+                assert (est.status, est.iterations) == (base.status, base.iterations)
+                assert est.x_hat.tobytes() == np.ldexp(base.x_hat, k).tobytes()
+                assert est.objective == np.ldexp(base.objective, k)
+
+    @pytest.mark.parametrize("kind", ["pm1", "quantized"])
+    def test_column_scaling_matches_highs(self, kind):
+        # the LAD optimum does not move when columns of H are rescaled; the
+        # vertex certificate's rows are normalized, so a column scaled by
+        # 2^-40 is held to its own scale
+        for seed in range(20):
+            m = 2 + seed % 4
+            H, y = toeplitz_instance(kind, 40 + 2 * seed, m, seed, noise=False)
+            ref = highs_lad_objective(H, y)
+            cols = np.random.default_rng(seed).permutation(m)[:(m + 1) // 2]
+            for k in (20, -20, 40, -40):
+                scale = np.ones(m)
+                scale[cols] = 2.0 ** k
+                est = lad_estimate(H * scale, y)
+                assert est.status == "optimal"
+                assert est.objective == pytest.approx(ref, rel=1e-9)
 
 
 class TestLargeScale:
