@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DimensionError, LadSysIdError,
                      SingularSystemError, SpecError, SupportSizeError,
                      ThresholdSearchError)
-from .matgen import (InputDist, InputSequence, Magnitude, NoiseSpec,
-                     OutlierSpec, RegressorMatrix, build_regressor,
-                     derive_seed, rng_from_seed, sample_input, sample_noise,
+from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec,
+                     RegressorMatrix, build_regressor, derive_seed,
+                     rng_from_seed, sample_input, sample_noise,
                      sample_outliers)
-from .lp import LpProblem, LpResult, solve_lp
 from .solver import Estimate, lad_estimate, ls_estimate
 from .cert import (ConcentrationReport, SupportCert, balance_gap,
                    certify_support_exact, certify_support_mc,
@@ -37,12 +36,11 @@ __all__ = [
     "LadSysIdError", "DimensionError", "SpecError", "SingularSystemError",
     "SupportSizeError", "ThresholdSearchError", "ConfigError",
     # matgen
-    "InputDist", "InputSequence", "RegressorMatrix", "NoiseSpec", "Magnitude",
+    "InputDist", "RegressorMatrix", "NoiseSpec", "Magnitude",
     "OutlierSpec", "derive_seed", "rng_from_seed", "sample_input",
     "build_regressor", "sample_noise", "sample_outliers",
-    # lp / solver
-    "LpProblem", "LpResult", "solve_lp", "Estimate", "lad_estimate",
-    "ls_estimate",
+    # solver
+    "Estimate", "lad_estimate", "ls_estimate",
     # cert
     "SupportCert", "balance_gap", "certify_support_exact",
     "certify_support_mc", "empirical_recovery_rate", "ConcentrationReport",

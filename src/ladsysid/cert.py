@@ -28,8 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, SingularSystemError, SupportSizeError
-from .lp import LpProblem, solve_lp
+from .errors import (DimensionError, LadSysIdError, SingularSystemError,
+                     SupportSizeError)
+from .lp import solve_lp
 from .matgen import (InputDist, Magnitude, build_regressor, derive_seed,
                      rng_from_seed, sample_input)
 from .solver import _as_matrix, lad_estimate
@@ -113,7 +114,10 @@ def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> Sup
     m-row dual LP per sign pattern of (Hz) on K (2^(|K|-1) of them).  A
     rank-deficient H_Kbar (as when K holds every row) is falsified with gap
     -inf.  A falsified verdict carries a unit witness z whose balance gap
-    is at most ``margin`` * ||(Hz)_Kbar||_1.
+    is at most ``margin`` * ||(Hz)_Kbar||_1.  The pattern LPs' tolerances
+    are absolute, so H is first scaled, exactly, by the power of two that
+    brings max|H| into [1, 2); the ratio does not change.  A pattern LP that
+    ends other than optimal is a LadSysIdError.
     """
     A = _as_matrix(H)
     n, m = A.shape
@@ -125,6 +129,7 @@ def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> Sup
             f"(2^(|K|-1) sign patterns); use certify_support_mc instead")
     if np.linalg.matrix_rank(A) < m:
         raise SingularSystemError("regressor matrix is rank deficient")
+    A = np.ldexp(A, 1 - np.frexp(np.abs(A).max())[1])     # max|A| in [1, 2)
     support = _support_tuple(idx)
     vertices = math.comb(n - k, m - 1)
     method = "vertices" if vertices <= _VERTEX_PER_LP * 2.0 ** (k - 1) else "patterns"
@@ -227,8 +232,8 @@ def _pattern_max(A, idx, cidx):
     buf = np.empty((1, n))
     cost = np.zeros(nc + 1)
     cost[-1] = -1.0
-    bounds = np.tile([-1.0, 1.0], (nc + 1, 1))
-    bounds[-1] = (0.0, 2.0 * reach)
+    lo, hi = np.full(nc + 1, -1.0), np.ones(nc + 1)
+    lo[-1], hi[-1] = 0.0, 2.0 * reach
     best, best_z = 0.0, None       # the ratio is never negative
     for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
         sigma = np.array((1.0,) + tail)
@@ -236,10 +241,9 @@ def _pattern_max(A, idx, cidx):
         norm = np.abs(g).max()
         if not norm > 0.0:
             continue               # H_K' sigma = 0: ratio 0
-        res = solve_lp(LpProblem(c=cost, a_eq=np.column_stack([hc.T, -g / norm]),
-                                 b_eq=np.zeros(m), bounds=bounds))
+        res = solve_lp(cost, np.column_stack([hc.T, -g / norm]), np.zeros(m), lo, hi)
         if res.status != "optimal":
-            raise RuntimeError(f"certification LP ended with status {res.status}")
+            raise LadSysIdError(f"certification LP ended with status {res.status}")
         on, off = _abs_sums(res.y[None, :], A, buf, idx, cidx)
         r = float(on[0] / off[0])
         if r > best:

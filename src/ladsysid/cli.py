@@ -157,13 +157,8 @@ def main(argv=None) -> int:
             return _cmd_table1(args)
         if args.command == "certify":
             return _cmd_certify(args)
-        if args.command == "threshold":
-            return _cmd_threshold(args)
-        return EXIT_CONFIG
-    except (ConfigError, SupportSizeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+        return _cmd_threshold(args)
+    except (ConfigError, SupportSizeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SingularSystemError, ThresholdSearchError) as exc:

@@ -73,6 +73,9 @@ class XSource:
             raise SpecError(f"unknown x source {self.kind!r}")
         if self.kind == "fixed" and self.vector is None:
             raise SpecError("fixed x source requires a vector")
+        if self.vector is not None:
+            object.__setattr__(self, "vector",
+                               tuple(float(v) for v in np.atleast_1d(self.vector)))
 
     @classmethod
     def gaussian_random(cls) -> "XSource":
@@ -80,7 +83,7 @@ class XSource:
 
     @classmethod
     def fixed(cls, vector) -> "XSource":
-        return cls("fixed", tuple(float(v) for v in np.atleast_1d(vector)))
+        return cls("fixed", vector)
 
 
 @dataclass(frozen=True)
@@ -485,57 +488,26 @@ _BUILTIN_CONFIGS = {
 }
 
 
-def _input_from_dict(d: dict) -> InputDist:
-    kind = d.get("kind")
-    if kind == "gaussian":
-        return InputDist.gaussian(d.get("sigma", 1.0))
-    if kind == "bernoulli_pm1":
-        return InputDist.bernoulli_pm1()
-    raise ConfigError(f"unknown input kind {kind!r}")
-
-
-def _noise_from_dict(d: dict) -> NoiseSpec:
-    kind = d.get("kind")
-    try:
-        if kind == "none":
-            return NoiseSpec.none()
-        if kind == "gaussian":
-            return NoiseSpec.gaussian(d["sigma"])
-        if kind == "gamma":
-            return NoiseSpec.gamma(d["shape"], d["scale"])
-        if kind == "exponential":
-            return NoiseSpec.exponential(d["mean"])
-    except (KeyError, SpecError) as exc:
-        raise ConfigError(f"bad noise spec: {exc}") from exc
-    raise ConfigError(f"unknown noise kind {kind!r}")
+def _object(d) -> dict:
+    """A spec object of a config file, which may not set a seed: the harness
+    derives every sub-seed per trial and would overwrite it."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a spec must be an object, got {d!r}")
+    if "seed" in d:
+        raise ConfigError("a spec may not set a seed: every trial derives its own")
+    return d
 
 
 def _outliers_from_dict(d: dict) -> OutlierSpec:
-    model = d.get("count_model")
-    mag = Magnitude(float(d.get("mean", 100.0)), float(d.get("sd", 50.0)))
-    try:
-        if model == "fixed":
-            return OutlierSpec.fixed(int(d["k"]), magnitude=mag)
-        if model == "uniform_fraction":
-            return OutlierSpec.uniform_fraction(float(d["max_fraction"]), magnitude=mag)
-    except (KeyError, SpecError) as exc:
-        raise ConfigError(f"bad outlier spec: {exc}") from exc
-    raise ConfigError(f"unknown outlier count model {model!r}")
-
-
-def _x_source_from_dict(d: dict) -> XSource:
-    kind = d.get("kind", "gaussian_random")
-    if kind == "gaussian_random":
-        return XSource.gaussian_random()
-    if kind == "fixed":
-        if "vector" not in d:
-            raise ConfigError("fixed x source requires a vector")
-        return XSource.fixed(d["vector"])
-    raise ConfigError(f"unknown x source {kind!r}")
+    """The outlier object is flat: its ``mean`` and ``sd`` are the Magnitude's."""
+    rest = {key: v for key, v in d.items() if key not in ("mean", "sd")}
+    return OutlierSpec(**rest, magnitude=Magnitude(d.get("mean", 100.0), d.get("sd", 50.0)))
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON dict (see README schema)."""
+    """Build an ExperimentConfig from a parsed JSON dict (see README schema).
+    Each spec object holds the fields of its dataclass, whose __post_init__
+    checks them, so an unknown key is a ConfigError like any bad value."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be an object")
     try:
@@ -560,10 +532,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             name=str(sd.get("name", "scenario")),
             n=int(sd.get("n", n_grid[0])),
             m=int(sd["m"]),
-            input=_input_from_dict(sd["input"]),
-            x_source=_x_source_from_dict(sd.get("x_source", {"kind": "gaussian_random"})),
-            noise=_noise_from_dict(sd.get("noise", {"kind": "none"})),
-            outliers=_outliers_from_dict(sd["outliers"]),
+            input=InputDist(**_object(sd["input"])),
+            x_source=XSource(**_object(sd.get("x_source", {"kind": "gaussian_random"}))),
+            noise=NoiseSpec(**_object(sd.get("noise", {"kind": "none"}))),
+            outliers=_outliers_from_dict(_object(sd["outliers"])),
             estimators=tuple(sd.get("estimators", ["lad", "ls"])),
         )
         return ExperimentConfig(

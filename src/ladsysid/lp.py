@@ -4,14 +4,15 @@ Every LP in the package has one shape: min c'w subject to B w = b and
 lo <= w <= hi, with few rows and every bound finite.  The LAD vertex
 certificate asks only whether such a w exists (zero cost); the certifier's
 sign-pattern LPs maximize one variable (cost -e_s).  ``solve_lp`` runs both
-on one kernel.  Phase 1 minimizes the sum of artificial variables, carrying
+in one loop.  Phase 1 minimizes the sum of artificial variables, carrying
 the basic values from pivot to pivot, and stops as soon as that sum reaches
 zero; a zero-cost problem ends there.  Otherwise phase 2 optimizes c'w from
 the phase-1 basis, with any artificial still basic pinned at zero, and
 returns the row multipliers c_B B^-1.  Each iteration is one pricing product
 over the columns plus O(q^2) work on the q x q basis.  A finite box has no
 unbounded direction, so the statuses are optimal, infeasible,
-iteration_limit and inaccurate.
+iteration_limit and inaccurate.  Both callers pass float arrays with at
+least one row and finite bounds, so the kernel takes them as they are.
 
 Pricing takes the largest gain (Dantzig's rule), with Bland's smallest-index
 rule engaged while steps are degenerate so the method cannot cycle.  The
@@ -30,31 +31,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError
-
-__all__ = ["LpProblem", "LpResult", "solve_lp"]
-
-
-@dataclass
-class LpProblem:
-    """Box LP: minimize c'w subject to a_eq w = b_eq, lo <= w <= hi.
-
-    ``bounds`` lists one finite (lo, hi) pair per variable, as a list of pairs
-    or an (n, 2) array; an infinite, ``None`` or NaN bound is a
-    ``DimensionError``.  ``a_eq`` may have zero rows.
-    """
-
-    c: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    bounds: list
+__all__ = ["LpResult", "solve_lp"]
 
 
 @dataclass
 class LpResult:
     status: str                     # optimal | infeasible | iteration_limit | inaccurate
     x: Optional[np.ndarray] = None
-    objective: Optional[float] = None
     iterations: int = 0
     #: row multipliers c_B B^-1 of the final basis; set when optimal
     y: Optional[np.ndarray] = None
@@ -66,7 +49,7 @@ def _violation(a, b, lo, hi, v) -> float:
                float((lo - v).max(initial=0.0)), float((v - hi).max(initial=0.0)))
 
 
-def _box_feasibility(a, b, c, lo, hi, max_iter) -> LpResult:
+def solve_lp(c, a, b, lo, hi, max_iter: Optional[int] = None) -> LpResult:
     """min c'w s.t. a w = b, lo <= w <= hi (every bound finite): phase 1, then phase 2.
 
     Phase 1 is the bounded-variable primal simplex on min 1'art s.t.
@@ -76,11 +59,13 @@ def _box_feasibility(a, b, c, lo, hi, max_iter) -> LpResult:
     zero, so the verdict is unchanged), and the phase stops as soon as the
     artificial sum reaches zero.  When c is nonzero, phase 2 prices c from
     that basis; artificials still basic are pinned at zero, and its
-    optimality tolerance is 1e-9 * max|c|.
+    optimality tolerance is 1e-9 * max|c|.  ``max_iter`` caps the pivots and
+    bound flips of both phases together; the default is 200 + 50 (q + p) for
+    q rows and p variables.
     """
     q, p = a.shape
-    if not q:                            # no rows: each variable at its cheaper bound
-        return LpResult(status="optimal", x=np.where(c < 0, hi, lo), y=np.zeros(0))
+    if max_iter is None:
+        max_iter = 200 + 50 * (q + p)
     a = np.ascontiguousarray(a)
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     ztol = 1e-9 * scale
@@ -189,40 +174,3 @@ def _box_feasibility(a, b, c, lo, hi, max_iter) -> LpResult:
                 return LpResult(status="inaccurate", x=w, iterations=iterations)
     return LpResult(status="optimal", x=w, iterations=iterations, y=y)
 
-
-def _parse_bounds(bounds, nx):
-    """(lo, hi) arrays from one finite (lo, hi) pair per variable."""
-    try:
-        bnd = np.array(bounds, dtype=float)        # None reads as NaN
-    except (TypeError, ValueError):
-        raise DimensionError("bounds must be one (lo, hi) pair of numbers per variable") from None
-    if bnd.shape != (nx, 2):
-        raise DimensionError("one (lo, hi) pair per variable required")
-    if not np.isfinite(bnd).all():
-        i, k = np.argwhere(~np.isfinite(bnd))[0]
-        raise DimensionError(f"bound {k} of variable {i} is not a finite number")
-    lo, hi = bnd[:, 0], bnd[:, 1]
-    if np.any(lo > hi):
-        raise DimensionError("variable bounds require lo <= hi")
-    return lo, hi
-
-
-def solve_lp(problem: LpProblem, max_iter: Optional[int] = None) -> LpResult:
-    """Solve a box LP, returning an optimal basic solution when one exists.
-
-    ``max_iter`` caps the pivots and bound flips of both phases together;
-    the default is 200 + 50 (rows + variables).
-    """
-    c = np.atleast_1d(np.asarray(problem.c, dtype=float))
-    nx = c.size
-    a_eq = np.atleast_2d(np.asarray(problem.a_eq, dtype=float))
-    b_eq = np.atleast_1d(np.asarray(problem.b_eq, dtype=float))
-    if a_eq.shape != (b_eq.size, nx):
-        raise DimensionError("constraint matrix shapes do not match c/b")
-    lo, hi = _parse_bounds(problem.bounds, nx)
-    if max_iter is None:
-        max_iter = 200 + 50 * (b_eq.size + nx)
-    res = _box_feasibility(a_eq, b_eq, c, lo, hi, max_iter)
-    if res.x is not None:
-        res.objective = float(c @ res.x)
-    return res

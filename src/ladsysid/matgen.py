@@ -22,7 +22,6 @@ from .errors import DimensionError, SpecError
 
 __all__ = [
     "InputDist",
-    "InputSequence",
     "RegressorMatrix",
     "NoiseSpec",
     "Magnitude",
@@ -47,6 +46,19 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
+def _coerce(spec, floats=(), ints=()) -> None:
+    """Set the named fields of a frozen spec to float, or to int from an
+    integral number (3 and 3.0 give 3; 3.5 is a SpecError)."""
+    for name in floats:
+        object.__setattr__(spec, name, float(getattr(spec, name)))
+    for name in ints:
+        value = getattr(spec, name)
+        if not (isinstance(value, (int, np.integer))
+                or isinstance(value, float) and value.is_integer()):
+            raise SpecError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(spec, name, int(value))
+
+
 # ---------------------------------------------------------------------------
 # input sequences and the regressor matrix
 # ---------------------------------------------------------------------------
@@ -59,6 +71,7 @@ class InputDist:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _coerce(self, floats=("sigma",))
         if self.kind not in ("gaussian", "bernoulli_pm1"):
             raise SpecError(f"unknown input distribution {self.kind!r}")
         if self.kind == "gaussian" and not self.sigma > 0:
@@ -66,30 +79,11 @@ class InputDist:
 
     @classmethod
     def gaussian(cls, sigma: float = 1.0) -> "InputDist":
-        return cls("gaussian", float(sigma))
+        return cls("gaussian", sigma)
 
     @classmethod
     def bernoulli_pm1(cls) -> "InputDist":
         return cls("bernoulli_pm1")
-
-
-@dataclass(frozen=True)
-class InputSequence:
-    """The n+m-1 scalar input samples backing one regressor matrix.
-
-    ``values[p]`` holds the sample with logical index ``p - m + 2`` for
-    ``p = 0 .. n+m-2``; i.e. ``values[0]`` is the earliest sample and
-    ``values[-1]`` the latest.
-    """
-
-    values: np.ndarray
-    dist: InputDist
-    seed: int
-    n: int
-    m: int
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,10 @@ class RegressorMatrix:
         return (self.n, self.m)
 
 
-def sample_input(dist: InputDist, n: int, m: int, seed: int) -> InputSequence:
-    """Draw the n+m-1 i.i.d. input samples for an n-by-m regressor."""
+def sample_input(dist: InputDist, n: int, m: int, seed: int) -> np.ndarray:
+    """Draw the n+m-1 i.i.d. input samples for an n-by-m regressor, as a
+    read-only array whose entry ``p`` holds the sample with logical index
+    ``p - m + 2``: entry 0 is the earliest sample and entry -1 the latest."""
     if m < 1 or n < m:
         raise DimensionError(f"need n >= m >= 1, got n={n}, m={m}")
     rng = rng_from_seed(seed)
@@ -121,20 +117,19 @@ def sample_input(dist: InputDist, n: int, m: int, seed: int) -> InputSequence:
     else:
         values = rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
     values.flags.writeable = False
-    return InputSequence(values=values, dist=dist, seed=int(seed), n=int(n), m=int(m))
+    return values
 
 
 def build_regressor(h, n: int, m: int) -> RegressorMatrix:
-    """Assemble the regressor matrix from an input sequence.
+    """Assemble the regressor matrix from a length n+m-1 input sequence.
 
-    Accepts an :class:`InputSequence` or a plain length n+m-1 vector.  Row 1
-    reads the m earliest samples, row n the m latest; consecutive rows shift
-    the window by one.  Degenerate shapes with n < m are permitted here (a
-    single-row matrix is still well formed); the estimators enforce n >= m.
+    Row 1 reads the m earliest samples, row n the m latest; consecutive rows
+    shift the window by one.  Degenerate shapes with n < m are permitted here
+    (a single-row matrix is still well formed); the estimators enforce n >= m.
     """
     if m < 1 or n < 1:
         raise DimensionError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    values = h.values if isinstance(h, InputSequence) else np.asarray(h, dtype=float)
+    values = np.asarray(h, dtype=float)
     if values.ndim != 1 or len(values) != n + m - 1:
         raise DimensionError(
             f"input sequence has length {values.shape}, expected {n + m - 1}"
@@ -166,6 +161,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _coerce(self, floats=("sigma", "shape", "scale", "mean"), ints=("seed",))
         if self.kind not in ("none", "gaussian", "gamma", "exponential"):
             raise SpecError(f"unknown noise kind {self.kind!r}")
         if self.kind == "gaussian" and not self.sigma > 0:
@@ -181,15 +177,15 @@ class NoiseSpec:
 
     @classmethod
     def gaussian(cls, sigma: float, seed: int = 0) -> "NoiseSpec":
-        return cls("gaussian", sigma=float(sigma), seed=int(seed))
+        return cls("gaussian", sigma=sigma, seed=seed)
 
     @classmethod
     def gamma(cls, shape: float, scale: float, seed: int = 0) -> "NoiseSpec":
-        return cls("gamma", shape=float(shape), scale=float(scale), seed=int(seed))
+        return cls("gamma", shape=shape, scale=scale, seed=seed)
 
     @classmethod
     def exponential(cls, mean: float, seed: int = 0) -> "NoiseSpec":
-        return cls("exponential", mean=float(mean), seed=int(seed))
+        return cls("exponential", mean=mean, seed=seed)
 
 
 def sample_noise(spec: NoiseSpec, n: int) -> np.ndarray:
@@ -218,6 +214,7 @@ class Magnitude:
     sd: float
 
     def __post_init__(self):
+        _coerce(self, floats=("mean", "sd"))
         if not self.sd > 0:
             raise SpecError("outlier magnitude requires sd > 0")
 
@@ -239,6 +236,7 @@ class OutlierSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _coerce(self, floats=("max_fraction",), ints=("k", "seed"))
         if self.count_model not in ("fixed", "uniform_fraction"):
             raise SpecError(f"unknown count model {self.count_model!r}")
         if self.count_model == "fixed" and self.k < 0:
@@ -249,14 +247,14 @@ class OutlierSpec:
     @classmethod
     def fixed(cls, k: int, magnitude: Magnitude = Magnitude(100.0, 50.0),
               seed: int = 0) -> "OutlierSpec":
-        return cls("fixed", k=int(k), magnitude=magnitude, seed=int(seed))
+        return cls("fixed", k=k, magnitude=magnitude, seed=seed)
 
     @classmethod
     def uniform_fraction(cls, max_fraction: float,
                          magnitude: Magnitude = Magnitude(100.0, 50.0),
                          seed: int = 0) -> "OutlierSpec":
-        return cls("uniform_fraction", max_fraction=float(max_fraction),
-                   magnitude=magnitude, seed=int(seed))
+        return cls("uniform_fraction", max_fraction=max_fraction,
+                   magnitude=magnitude, seed=seed)
 
 
 def _round_half_up(x: float) -> int:

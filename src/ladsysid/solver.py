@@ -54,7 +54,7 @@ import numpy as np
 from scipy.linalg.lapack import dgeqp3 as _geqp3
 
 from .errors import DimensionError, SingularSystemError
-from .lp import LpProblem, solve_lp
+from .lp import solve_lp
 from .matgen import RegressorMatrix
 
 try:
@@ -83,11 +83,13 @@ class Estimate:
 
 
 def _as_matrix(H) -> np.ndarray:
-    if isinstance(H, RegressorMatrix):
-        return np.asarray(H.entries, dtype=float)
-    A = np.asarray(H, dtype=float)
+    """H as a float matrix (a vector is one column); DimensionError on a NaN
+    or an infinity.  Both estimators and every certifier take H through here."""
+    A = np.asarray(H.entries if isinstance(H, RegressorMatrix) else H, dtype=float)
     if A.ndim == 1:
         A = A[:, None]
+    if not np.isfinite(A).all():
+        raise DimensionError("H must be finite (found NaN or inf)")
     return A
 
 
@@ -101,8 +103,8 @@ def _checked_inputs(H, y):
         raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
     if n < m or m < 1:
         raise DimensionError(f"need n >= m >= 1, got n={n}, m={m}")
-    if not (np.isfinite(A).all() and np.isfinite(y).all()):
-        raise DimensionError("H and y must be finite (found NaN or inf)")
+    if not np.isfinite(y).all():
+        raise DimensionError("y must be finite (found NaN or inf)")
     return A, y
 
 
@@ -186,12 +188,8 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
     shift = 1 - np.frexp(size)[1]
     At = np.ldexp(At, shift[:, None])
     target = np.ldexp(target, shift)
-    res = solve_lp(LpProblem(
-        c=np.zeros(At.shape[1]),
-        a_eq=At,
-        b_eq=target,
-        bounds=np.broadcast_to([-1.0, 1.0], (At.shape[1], 2)),
-    ))
+    p = At.shape[1]
+    res = solve_lp(np.zeros(p), At, target, np.full(p, -1.0), np.ones(p))
     if res.status != "optimal":
         return False
     w = res.x

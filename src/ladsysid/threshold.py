@@ -168,14 +168,11 @@ def strong_threshold(m: int, beta_tol: float = 1e-6, mu_points: int = 200,
         raise ThresholdSearchError(
             f"no (beta, mu, delta) with a negative inequality value for m={m}; "
             "the search grid is misconfigured")
+    # hi is the next coarse point, not negative by min_lhs's arithmetic, or
+    # beta_max (geomspace ends there exactly) when all of them are negative
     last = int(np.nonzero(neg)[0].max())
     lo = coarse[last]
     hi = coarse[last + 1] if last + 1 < coarse_points else beta_max
-    while min_lhs(hi) < 0 and hi < beta_max:
-        lo = hi
-        hi = min(2 * hi, beta_max)
-    if min_lhs(hi) < 0:       # negative all the way to the feasible edge
-        lo = hi
     while hi - lo > beta_tol:
         mid = 0.5 * (lo + hi)
         if min_lhs(mid) < 0:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import ladsysid.cert
-from ladsysid import (DimensionError, InputDist, Magnitude, SupportSizeError,
+from ladsysid import (DimensionError, InputDist, LadSysIdError, Magnitude,
+                      SupportSizeError,
                       balance_gap, build_regressor, certify_support_exact,
                       certify_support_mc, concentration_diagnostic,
                       empirical_recovery_rate, expected_gain, sample_input)
+from ladsysid.lp import LpResult
 from ladsysid.matgen import rng_from_seed
 from ladsysid.solver import _as_matrix
 from oracles import (direction_grid_min_gap, gain_quadrature, gauss_toeplitz,
@@ -180,9 +182,9 @@ class TestExactMethods:
         solved = []
         inner = ladsysid.cert.solve_lp
 
-        def recorded(prob):
-            res = inner(prob)
-            solved.append((float(prob.bounds[-1, 1]), float(res.x[-1])))
+        def recorded(c, a, b, lo, hi):
+            res = inner(c, a, b, lo, hi)
+            solved.append((float(hi[-1]), float(res.x[-1])))
             return res
         monkeypatch.setattr(ladsysid.cert, "solve_lp", recorded)
         cases = [(H, K) for _, H, K in self.instances()]
@@ -244,6 +246,48 @@ class TestExactMethods:
         assert cert.worst_gap == -np.inf
         assert cert.work == 0
         assert balance_gap(H, K, cert.witness) < 0.0
+
+
+    @pytest.mark.parametrize("n,m,K,seed", [(60, 5, [3, 20, 41], 7), (40, 3, [0, 9, 17, 33], 11),
+                                            (50, 4, [5, 6, 30], 3), (30, 2, [1, 2, 3, 20, 28], 5)])
+    def test_patterns_invariant_under_power_of_two_scaling(self, monkeypatch, n, m, K, seed):
+        # the pattern LPs' tolerances are absolute, so H is brought to max|H|
+        # in [1, 2) first: no power-of-two scaling may move the gap or make an
+        # LP inaccurate
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
+        H = gauss_toeplitz(n, m, seed=seed).entries
+        ref = 1.0 - highs_pattern_best(H, K)
+        for e in (-1000, -600, -300, -100, -60, -30, -10, -1,
+                  1, 10, 20, 60, 100, 300, 600, 900):
+            cert = certify_support_exact(np.ldexp(H, e), K)
+            assert cert.method == "patterns"
+            assert cert.worst_gap == pytest.approx(ref, abs=1e-9), e
+
+    def test_pattern_lp_failure_is_typed(self, monkeypatch):
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
+        monkeypatch.setattr(ladsysid.cert, "solve_lp",
+                            lambda *args: LpResult(status="inaccurate"))
+        with pytest.raises(LadSysIdError, match="inaccurate"):
+            certify_support_exact(gauss_toeplitz(60, 5, seed=7), [3, 20, 41])
+
+
+class TestNonFiniteH:
+    """Every certifier entry point takes H through the estimators' finiteness
+    check, so a NaN cannot pass for an unfalsified verdict with gap inf."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda H: balance_gap(H, [0], np.ones(2)),
+        lambda H: certify_support_exact(H, [0]),
+        lambda H: certify_support_mc(H, [0], trials=100, seed=1),
+        lambda H: empirical_recovery_rate(H, [0], trials=2, magnitude=Magnitude(100.0, 50.0),
+                                          seed=1),
+    ], ids=["balance_gap", "exact", "mc", "recovery_rate"])
+    def test_rejected(self, call, value):
+        H = np.array(gauss_toeplitz(20, 2, seed=4).entries)
+        H[5, 1] = value
+        with pytest.raises(DimensionError, match="finite"):
+            call(H)
 
 
 class TestMcCertifier:

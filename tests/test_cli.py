@@ -1,6 +1,8 @@
 import json
 
+import ladsysid.cert
 from ladsysid.cli import main
+from ladsysid.lp import LpResult
 
 
 class TestBasics:
@@ -50,6 +52,25 @@ class TestCertify:
     def test_malformed_support_list(self, capsys):
         rc = main(["certify", "--n", "10", "--m", "2", "--support", "0,x"])
         assert rc == 1
+
+    def test_patterns_gap_does_not_depend_on_input_scale(self, capsys):
+        # 4 sign patterns against C(197, 2) vertices: the pattern LPs run, on
+        # inputs 1e-12 to 1e6 in scale
+        gaps = set()
+        for sigma in ("1e-12", "1", "1e6"):
+            rc = main(["certify", "--n", "200", "--m", "3", "--support", "0,1,2",
+                       "--sigma", sigma])
+            out = capsys.readouterr().out
+            assert rc == 0 and "method: patterns" in out
+            gaps.add(next(line for line in out.splitlines() if line.startswith("worst_gap")))
+        assert len(gaps) == 1
+
+    def test_pattern_lp_failure_exits_with_solver_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(ladsysid.cert, "solve_lp",
+                            lambda *args: LpResult(status="inaccurate"))
+        rc = main(["certify", "--n", "200", "--m", "3", "--support", "0,1,2"])
+        assert rc == 2
+        assert "certification LP ended with status inaccurate" in capsys.readouterr().err
 
     def test_bernoulli_input(self, capsys):
         rc = main(["certify", "--n", "14", "--m", "1", "--support", "2",
@@ -128,6 +149,14 @@ class TestExperiment:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["experiment", "--config", str(tmp_path / "nope.json")])
         assert rc == 1
+
+    def test_non_object_spec_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"m": 2, "input": ["gaussian"],
+                                                "outliers": {"count_model": "fixed", "k": 0}},
+                                   "n_grid": [10]}))
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_invalid_config_content(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +333,14 @@ class TestSnr:
             snr_db(clean_scenario(), trials=2, master_seed=0)
 
 
+def scenario_dict(**specs):
+    """A minimal scenario config, with the given spec objects put in."""
+    scenario = {"m": 2, "input": {"kind": "gaussian"},
+                "outliers": {"count_model": "fixed", "k": 0}}
+    scenario.update(specs)
+    return {"scenario": scenario, "n_grid": [10]}
+
+
 class TestConfigFiles:
     def test_full_scenario_dict(self):
         cfg = config_from_dict({
@@ -403,3 +413,68 @@ class TestConfigFiles:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+    @pytest.mark.parametrize("specs", [
+        {"input": {"kind": "gaussian", "sigm": 2}},
+        {"noise": {"kind": "gamma", "shape": 2.0, "scale": 0.4, "shap": 3.0}},
+        {"outliers": {"count_model": "fixed", "k": 2, "magnitude_sd": 5.0}},
+        {"x_source": {"kind": "gaussian_random", "vectr": [1.0, 2.0]}},
+    ], ids=["input", "noise", "outliers", "x_source"])
+    def test_unknown_key_is_config_error(self, specs):
+        # each spec object holds exactly its dataclass's fields, so a
+        # misspelled key cannot leave its field at the default
+        with pytest.raises(ConfigError, match="unexpected keyword argument"):
+            config_from_dict(scenario_dict(**specs))
+
+    @pytest.mark.parametrize("field", ["input", "noise", "outliers", "x_source"])
+    def test_non_object_spec_is_config_error(self, field):
+        with pytest.raises(ConfigError, match="must be an object"):
+            config_from_dict(scenario_dict(**{field: ["gaussian"]}))
+
+    @pytest.mark.parametrize("specs", [
+        {"noise": {"kind": "gaussian", "sigma": 1.0, "seed": 3}},
+        {"outliers": {"count_model": "fixed", "k": 1, "seed": 3}},
+    ], ids=["noise", "outliers"])
+    def test_seed_key_is_config_error(self, specs):
+        # every trial derives its own sub-seeds and would overwrite this one
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict(scenario_dict(**specs))
+
+    def test_k_must_be_integral(self):
+        for k in (3, 3.0):
+            spec = config_from_dict(scenario_dict(
+                outliers={"count_model": "fixed", "k": k})).scenario.outliers
+            assert spec.k == 3 and type(spec.k) is int
+        with pytest.raises(ConfigError, match="integer"):
+            config_from_dict(scenario_dict(outliers={"count_model": "fixed", "k": 3.5}))
+
+    def test_fields_are_coerced(self):
+        scen = config_from_dict(scenario_dict(
+            input={"kind": "gaussian", "sigma": 2},
+            x_source={"kind": "fixed", "vector": [1, 2]})).scenario
+        assert scen.input == InputDist.gaussian(2.0) and type(scen.input.sigma) is float
+        assert scen.x_source.vector == (1.0, 2.0)
+        assert all(type(v) is float for v in scen.x_source.vector)
+
+    @pytest.mark.parametrize("noise,expected", [
+        ({"kind": "none"}, NoiseSpec.none()),
+        ({"kind": "gaussian", "sigma": 0.5}, NoiseSpec.gaussian(0.5)),
+        ({"kind": "gamma", "shape": 2, "scale": 0.25}, NoiseSpec.gamma(2.0, 0.25)),
+        ({"kind": "exponential", "mean": 0.7}, NoiseSpec.exponential(0.7)),
+    ], ids=["none", "gaussian", "gamma", "exponential"])
+    def test_every_noise_kind_builds_from_json(self, noise, expected):
+        cfg = config_from_dict(json.loads(json.dumps(scenario_dict(noise=noise))))
+        assert cfg.scenario.noise == expected
+
+    def test_out_overrides_builtin(self):
+        cfg = config_from_dict({"builtin": "consistency_exponential", "out": "e.csv"})
+        assert cfg.out_path == "e.csv"
+        assert cfg.scenario.noise == NoiseSpec.exponential(np.sqrt(2.0) / 2.0)
+
+    def test_readme_config_examples_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        schema = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+        examples = re.findall(r"```json\n(.*?)```", schema, re.S)
+        assert len(examples) == 2
+        for text in examples:
+            assert isinstance(config_from_dict(json.loads(text)), ExperimentConfig)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import ladsysid.lp
-from ladsysid import DimensionError, LpProblem, solve_lp
+from ladsysid.lp import solve_lp
 from oracles import gauss_toeplitz, highs_box_feasible
 
 
@@ -33,89 +33,79 @@ def box(*pairs):
     return np.array(pairs, dtype=float)
 
 
+def solve(c, a_eq, b_eq, bounds, max_iter=None):
+    """``solve_lp`` on float arrays, the bounds given as (lo, hi) rows."""
+    bounds = np.asarray(bounds, dtype=float)
+    return solve_lp(np.asarray(c, dtype=float), np.asarray(a_eq, dtype=float),
+                    np.asarray(b_eq, dtype=float), bounds[:, 0], bounds[:, 1], max_iter)
+
+
+def objective(c, res):
+    return float(np.asarray(c, dtype=float) @ res.x)
+
+
 class TestKnownProblems:
     @pytest.mark.parametrize("cval", [3.5, -2.0, 0.0, 1e-3])
     def test_absolute_value_epigraph(self, cval):
         # minimize t subject to t - s1 = c, t - s2 = -c, s >= 0
-        res = solve_lp(LpProblem(c=[1.0, 0.0, 0.0],
-                                 a_eq=[[1.0, -1.0, 0.0], [1.0, 0.0, -1.0]],
-                                 b_eq=[cval, -cval],
-                                 bounds=box((-10, 10), (0, 20), (0, 20))))
+        res = solve(c=[1.0, 0.0, 0.0],
+                    a_eq=[[1.0, -1.0, 0.0], [1.0, 0.0, -1.0]],
+                    b_eq=[cval, -cval],
+                    bounds=box((-10, 10), (0, 20), (0, 20)))
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(abs(cval), abs=1e-12)
 
     def test_one_by_one_lad_encoding(self):
         # min u + s subject to h*x + u - s = y
         h, y = 2.5, 7.0
-        res = solve_lp(LpProblem(
+        res = solve(
             c=[0.0, 1.0, 1.0],
             a_eq=[[h, 1.0, -1.0]],
             b_eq=[y],
             bounds=box((-100, 100), (0, 100), (0, 100)),
-        ))
+        )
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(y / h, rel=1e-12)
-        assert res.objective == pytest.approx(0.0, abs=1e-12)
-
-    def test_box_constrained(self):
-        res = solve_lp(LpProblem(c=[1.0, -2.0, 3.0], a_eq=np.zeros((0, 3)), b_eq=[],
-                                 bounds=box((-1, 4), (0, 5), (-2, 2))))
-        assert res.status == "optimal"
-        assert np.allclose(res.x, [-1.0, 5.0, -2.0])
+        assert objective([0.0, 1.0, 1.0], res) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximize_sense(self):
         # max x + y s.t. x + 2y <= 4, 3x + y <= 6, by minimizing -(x + y) with slacks
-        res = solve_lp(LpProblem(c=[-1.0, -1.0, 0.0, 0.0],
-                                 a_eq=[[1.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]],
-                                 b_eq=[4.0, 6.0],
-                                 bounds=box((0, 10), (0, 10), (0, 20), (0, 20))))
+        res = solve(c=[-1.0, -1.0, 0.0, 0.0],
+                    a_eq=[[1.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]],
+                    b_eq=[4.0, 6.0],
+                    bounds=box((0, 10), (0, 10), (0, 20), (0, 20)))
         assert res.status == "optimal"
         # vertex of x + 2y = 4, 3x + y = 6: (8/5, 6/5)
-        assert -res.objective == pytest.approx(14.0 / 5.0, rel=1e-10)
+        assert -objective([-1.0, -1.0, 0.0, 0.0], res) == pytest.approx(14.0 / 5.0,
+                                                                         rel=1e-10)
 
     def test_degenerate_lp_terminates(self):
         # several constraints meet at the optimum
         a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        res = solve_lp(LpProblem(
-            c=[-1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+        c = [-1.0, -1.0, 0.0, 0.0, 0.0, 0.0]
+        res = solve(
+            c=c,
             a_eq=np.hstack([a, np.eye(4)]),
             b_eq=[1.0, 1.0, 2.0, 2.0],
             bounds=np.tile([0.0, 5.0], (6, 1)),
-        ))
+        )
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(-2.0, abs=1e-10)
+        assert objective(c, res) == pytest.approx(-2.0, abs=1e-10)
 
 
 class TestStatuses:
     def test_infeasible(self):
         # x + s1 = -1 and -x + s2 = -1 with s >= 0: x <= -1 and x >= 1
-        res = solve_lp(LpProblem(c=[1.0, 0.0, 0.0], a_eq=[[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]],
-                                 b_eq=[-1.0, -1.0], bounds=box((-5, 5), (0, 10), (0, 10))))
+        res = solve(c=[1.0, 0.0, 0.0], a_eq=[[1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]],
+                    b_eq=[-1.0, -1.0], bounds=box((-5, 5), (0, 10), (0, 10)))
         assert res.status == "infeasible"
 
     def test_iteration_limit(self):
         a = np.random.default_rng(0).standard_normal((4, 9))
         x0 = np.abs(np.random.default_rng(1).standard_normal(9))
-        res = solve_lp(LpProblem(c=np.ones(9), a_eq=a, b_eq=a @ x0,
-                                 bounds=np.tile([0.0, 10.0], (9, 1))), max_iter=1)
+        res = solve(c=np.ones(9), a_eq=a, b_eq=a @ x0,
+                    bounds=np.tile([0.0, 10.0], (9, 1)), max_iter=1)
         assert res.status == "iteration_limit"
-
-    def test_dimension_errors(self):
-        unit = [(0.0, 1.0)]
-        with pytest.raises(DimensionError):
-            solve_lp(LpProblem(c=[1.0], a_eq=[[1.0, 2.0]], b_eq=[1.0], bounds=unit))
-        with pytest.raises(DimensionError):
-            solve_lp(LpProblem(c=[1.0], a_eq=[[1.0]], b_eq=[1.0, 2.0], bounds=unit))
-        with pytest.raises(DimensionError):
-            solve_lp(LpProblem(c=[1.0], a_eq=[[1.0]], b_eq=[1.0], bounds=[(0, 1), (0, 1)]))
-        with pytest.raises(DimensionError):
-            solve_lp(LpProblem(c=[1.0], a_eq=[[1.0]], b_eq=[1.0], bounds=[(2, 1)]))
-        with pytest.raises(DimensionError):
-            solve_lp(LpProblem(c=[1.0], a_eq=[[1.0]], b_eq=[1.0], bounds=None))
-        for bad in (np.nan, np.inf, -np.inf, None):
-            with pytest.raises(DimensionError):
-                solve_lp(LpProblem(c=[1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
-                                   bounds=[(0, bad), (0, 1)]))
 
 
 class TestVertexEnumerationOracle:
@@ -125,7 +115,7 @@ class TestVertexEnumerationOracle:
         multipliers y are optimal for the dual of the box LP."""
         d = c - a.T @ res.y
         dual = float(b @ res.y + np.minimum(d * lo, d * hi).sum())
-        assert res.objective == pytest.approx(dual, rel=1e-8, abs=1e-8)
+        assert objective(c, res) == pytest.approx(dual, rel=1e-8, abs=1e-8)
 
     def test_random_standard_form_matches_enumeration(self):
         # lo = 0 boxes whose upper bounds sit above a known feasible point
@@ -138,11 +128,11 @@ class TestVertexEnumerationOracle:
             b = a @ x0
             c = rng.standard_normal(n)
             lo, hi = np.zeros(n), x0 + rng.uniform(0.1, 3.0, n)
-            res = solve_lp(LpProblem(c=c, a_eq=a, b_eq=b, bounds=np.column_stack([lo, hi])))
+            res = solve_lp(c, a, b, lo, hi)
             best = enumerate_box_vertices(a, b, c, lo, hi)
             assert np.isfinite(best)
             assert res.status == "optimal"
-            assert res.objective == pytest.approx(best, rel=1e-8, abs=1e-8)
+            assert objective(c, res) == pytest.approx(best, rel=1e-8, abs=1e-8)
             # basic feasible solution: constraints hold, bounds hold
             assert np.allclose(a @ res.x, b, atol=1e-8)
             assert (res.x >= lo - 1e-9).all() and (res.x <= hi + 1e-9).all()
@@ -158,10 +148,10 @@ class TestVertexEnumerationOracle:
             b = a @ x0
             c = rng.standard_normal(n)
             lo, hi = np.zeros(n), np.full(n, 2.0)
-            res = solve_lp(LpProblem(c=c, a_eq=a, b_eq=b, bounds=[(0, 2)] * n))
+            res = solve(c=c, a_eq=a, b_eq=b, bounds=[(0, 2)] * n)
             assert res.status == "optimal"
-            assert res.objective == pytest.approx(enumerate_box_vertices(a, b, c, lo, hi),
-                                                  rel=1e-8, abs=1e-8)
+            assert objective(c, res) == pytest.approx(enumerate_box_vertices(a, b, c, lo, hi),
+                                                      rel=1e-8, abs=1e-8)
             self.check_box_duality(res, a, b, c, lo, hi)
 
 
@@ -183,30 +173,28 @@ class TestFinalFeasibilityCheck:
         c[-1] = -1.0
         for tail in itertools.product((1.0, -1.0), repeat=len(K) - 1):
             g = np.array((1.0,) + tail) @ hk
-            bounds = np.tile([-1.0, 1.0], (nc + 1, 1))
-            bounds[-1] = (0.0, 2.0 * reach)
-            yield LpProblem(c=c, a_eq=np.column_stack([hc.T, -g / np.abs(g).max()]),
-                            b_eq=np.zeros(5),
-                            bounds=bounds)
+            lo, hi = np.full(nc + 1, -1.0), np.ones(nc + 1)
+            lo[-1], hi[-1] = 0.0, 2.0 * reach
+            yield (c, np.column_stack([hc.T, -g / np.abs(g).max()]), np.zeros(5), lo, hi)
 
     @staticmethod
     def check_against_highs(prob, res):
+        c, a, b, lo, hi = prob
         assert res.status == "optimal"
-        lo, hi = prob.bounds[:, 0], prob.bounds[:, 1]
-        assert float(np.abs(prob.a_eq @ res.x).max()) <= 1e-9
+        assert float(np.abs(a @ res.x).max()) <= 1e-9
         assert (res.x >= lo - 1e-9).all() and (res.x <= hi + 1e-9).all()
-        highs = linprog(prob.c, A_eq=prob.a_eq, b_eq=prob.b_eq, bounds=prob.bounds,
+        highs = linprog(c, A_eq=a, b_eq=b, bounds=np.column_stack([lo, hi]),
                         method="highs")
         assert highs.status == 0
-        assert res.objective == pytest.approx(highs.fun, rel=1e-9)
+        assert objective(c, res) == pytest.approx(highs.fun, rel=1e-9)
         # the multipliers price every column: d = c - a'y is >= 0 at lo, <= 0 at hi
-        d = prob.c - prob.a_eq.T @ res.y
-        assert float(np.minimum(d * lo, d * hi).sum()) == pytest.approx(res.objective,
+        d = c - a.T @ res.y
+        assert float(np.minimum(d * lo, d * hi).sum()) == pytest.approx(objective(c, res),
                                                                          rel=1e-9)
 
     def test_pattern_lps_feasible_and_match_highs(self):
         for prob in self.pattern_lps():
-            self.check_against_highs(prob, solve_lp(prob))
+            self.check_against_highs(prob, solve_lp(*prob))
 
     def test_failed_recheck_at_a_phase_two_exit_rebuilds(self, monkeypatch):
         check = ladsysid.lp._violation
@@ -218,12 +206,12 @@ class TestFinalFeasibilityCheck:
         monkeypatch.setattr(ladsysid.lp, "_violation", first_fails)
         for prob in self.pattern_lps():
             seen.clear()
-            self.check_against_highs(prob, solve_lp(prob))
+            self.check_against_highs(prob, solve_lp(*prob))
             assert len(seen) == 2
 
     def test_drift_that_survives_a_refactorization_is_not_optimal(self, monkeypatch):
         monkeypatch.setattr(ladsysid.lp, "_violation", lambda *args: 1.0)
-        results = [solve_lp(prob) for prob in self.pattern_lps()]
+        results = [solve_lp(*prob) for prob in self.pattern_lps()]
         assert {res.status for res in results} == {"inaccurate"}
         assert all(res.x is not None and res.y is None for res in results)
 
@@ -234,7 +222,7 @@ class TestFinalFeasibilityCheck:
         a = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.5]])
         b, c = np.array([1.0, 0.25]), np.array([-1.0, -2.0, 0.0])
         lo, hi = np.zeros(3), np.ones(3)
-        res = ladsysid.lp._box_feasibility(a.copy(), b, c, lo, hi, 100)
+        res = solve_lp(c, a.copy(), b, lo, hi, 100)
         assert res.status == "optimal" and res.x[2] == 0.0
         check = ladsysid.lp._violation
         seen = []
@@ -246,7 +234,7 @@ class TestFinalFeasibilityCheck:
             a_[:, 2] = (-1.0, 0.0)
             return 1.0
         monkeypatch.setattr(ladsysid.lp, "_violation", first_fails)
-        res = ladsysid.lp._box_feasibility(a.copy(), b, c, lo, hi, 100)
+        res = solve_lp(c, a.copy(), b, lo, hi, 100)
         assert len(seen) == 2 and seen[1] <= 1e-12
         assert res.status == "inaccurate" and res.y is None
 
@@ -275,8 +263,7 @@ class TestBoxFeasibility:
 
     @staticmethod
     def solve(a, b, lo, hi, max_iter=None):
-        return solve_lp(LpProblem(c=np.zeros(a.shape[1]), a_eq=a, b_eq=b,
-                                  bounds=np.column_stack([lo, hi])), max_iter=max_iter)
+        return solve_lp(np.zeros(a.shape[1]), a, b, lo, hi, max_iter)
 
     @staticmethod
     def check_optimal(res, a, b, lo, hi):
@@ -284,7 +271,7 @@ class TestBoxFeasibility:
         tol = 1e-9 * max(1.0, float(np.abs(b).max(initial=0.0)))
         assert float(np.abs(a @ res.x - b).max(initial=0.0)) <= tol
         assert (res.x >= lo - tol).all() and (res.x <= hi + tol).all()
-        assert res.objective == 0.0
+        assert objective(np.zeros(a.shape[1]), res) == 0.0
         assert np.array_equal(res.y, np.zeros(a.shape[0]))
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -346,14 +333,6 @@ class TestBoxFeasibility:
         assert res.iterations == 3
         assert np.array_equal(res.x, np.ones(3))
 
-    def test_zero_rows(self):
-        lo, hi = np.array([0.0, -2.0, 5.0]), np.array([1.0, -1.0, 5.0])
-        res = solve_lp(LpProblem(c=np.zeros(3), a_eq=np.zeros((0, 3)), b_eq=[],
-                                 bounds=list(zip(lo, hi))))
-        assert res.status == "optimal"
-        assert np.array_equal(res.x, lo) and res.iterations == 0
-        assert res.y.shape == (0,)
-
     def test_iteration_limit(self):
         a = np.ones((1, 3))
         res = self.solve(a, np.array([3.0]), np.full(3, -1.0), np.ones(3), max_iter=1)
@@ -402,13 +381,13 @@ class TestPhaseTwo:
             if kind != "gaussian":
                 c = np.round(c)    # integer costs: ties among columns and optima
             bounds = np.column_stack([lo, hi])
-            res = solve_lp(LpProblem(c=c, a_eq=a, b_eq=b, bounds=bounds))
+            res = solve_lp(c, a, b, lo, hi)
             highs = linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
             assert highs.status == 0 and res.status == "optimal"
             tol = 1e-9 * max(1.0, float(np.abs(b).max()))
             assert float(np.abs(a @ res.x - b).max()) <= tol
             assert (res.x >= lo - tol).all() and (res.x <= hi + tol).all()
-            assert res.objective == pytest.approx(highs.fun, rel=1e-9, abs=1e-9)
+            assert objective(c, res) == pytest.approx(highs.fun, rel=1e-9, abs=1e-9)
             TestVertexEnumerationOracle.check_box_duality(res, a, b, c, lo, hi)
 
     def test_tolerance_scales_with_the_cost(self):
@@ -417,9 +396,9 @@ class TestPhaseTwo:
         b = a @ np.array([0.2, -0.3, 0.9, 0.1])
         c = np.array([1.0, -0.5, 0.25, -2.0])
         bounds = np.tile([-1.0, 1.0], (4, 1))
-        ref = solve_lp(LpProblem(c=c, a_eq=a, b_eq=b, bounds=bounds))
+        ref = solve(c=c, a_eq=a, b_eq=b, bounds=bounds)
         for k in (1e-12, 1e12):
-            res = solve_lp(LpProblem(c=k * c, a_eq=a, b_eq=b, bounds=bounds))
+            res = solve(c=k * c, a_eq=a, b_eq=b, bounds=bounds)
             assert res.status == "optimal"
             assert np.allclose(res.x, ref.x, atol=1e-12)
             assert np.allclose(res.y, k * ref.y, rtol=1e-9)

@@ -9,25 +9,25 @@ from ladsysid import (DimensionError, InputDist, Magnitude, NoiseSpec,
 class TestSampleInput:
     def test_bernoulli_support(self):
         seq = sample_input(InputDist.bernoulli_pm1(), 100, 3, seed=7)
-        assert set(np.unique(seq.values)) <= {-1.0, 1.0}
+        assert set(np.unique(seq)) <= {-1.0, 1.0}
         assert len(seq) == 102
 
     def test_gaussian_law_of_large_numbers(self):
         n, m = 10**4, 5
         seq = sample_input(InputDist.gaussian(1.0), n, m, seed=1)
         size = n + m - 1
-        assert abs(seq.values.mean()) <= 4.0 / np.sqrt(size)
-        assert abs(seq.values.var() - 1.0) <= 0.05
+        assert abs(seq.mean()) <= 4.0 / np.sqrt(size)
+        assert abs(seq.var() - 1.0) <= 0.05
 
     def test_deterministic(self):
         a = sample_input(InputDist.gaussian(2.0), 50, 4, seed=123)
         b = sample_input(InputDist.gaussian(2.0), 50, 4, seed=123)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_draw(self):
         a = sample_input(InputDist.gaussian(1.0), 50, 4, seed=1)
         b = sample_input(InputDist.gaussian(1.0), 50, 4, seed=2)
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
@@ -38,7 +38,7 @@ class TestSampleInput:
     def test_values_frozen(self):
         seq = sample_input(InputDist.gaussian(1.0), 10, 2, seed=0)
         with pytest.raises(ValueError):
-            seq.values[0] = 99.0
+            seq[0] = 99.0
 
     def test_bad_dist(self):
         with pytest.raises(SpecError):
@@ -66,8 +66,8 @@ class TestBuildRegressor:
     def test_first_and_last_rows(self):
         seq = sample_input(InputDist.gaussian(1.0), 40, 6, seed=5)
         H = build_regressor(seq, 40, 6)
-        assert np.array_equal(H.entries[0], seq.values[:6])
-        assert np.array_equal(H.entries[-1], seq.values[-6:])
+        assert np.array_equal(H.entries[0], seq[:6])
+        assert np.array_equal(H.entries[-1], seq[-6:])
 
     def test_antidiagonal_constancy(self):
         seq = sample_input(InputDist.gaussian(1.0), 12, 4, seed=9)
