@@ -104,6 +104,11 @@ def balance_gap(H, K, z) -> float:
     return float(v.sum() - 2.0 * on_k)
 
 
+def _unit_scaled(A):
+    """A times the power of two that brings max|A| into [1, 2): exact, so no ratio moves."""
+    return np.ldexp(A, 1 - np.frexp(np.abs(A).max(initial=0.0))[1])
+
+
 def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> SupportCert:
     """Decide correctability of K exactly.
 
@@ -129,7 +134,7 @@ def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> Sup
             f"(2^(|K|-1) sign patterns); use certify_support_mc instead")
     if np.linalg.matrix_rank(A) < m:
         raise SingularSystemError("regressor matrix is rank deficient")
-    A = np.ldexp(A, 1 - np.frexp(np.abs(A).max())[1])     # max|A| in [1, 2)
+    A = _unit_scaled(A)
     support = _support_tuple(idx)
     vertices = math.comb(n - k, m - 1)
     method = "vertices" if vertices <= _VERTEX_PER_LP * 2.0 ** (k - 1) else "patterns"
@@ -257,10 +262,12 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     Never certifies -- a clean sweep only returns ``unfalsified``.  Directions
     are normalized Gaussian vectors, i.e. uniform on the sphere, drawn from
     one Gaussian stream and scored in batches; the first minimum is kept.
+    H is first scaled, exactly, by the power of two that brings max|H| into
+    [1, 2), so ``worst_gap`` does not depend on the scale of H.
     """
     if trials < 1:
         raise DimensionError(f"trials must be >= 1, got {trials}")
-    A = _as_matrix(H)
+    A = _unit_scaled(_as_matrix(H))
     n, m = A.shape
     idx = _support_array(K, n)
 

@@ -83,9 +83,8 @@ def _cmd_experiment(args) -> int:
     for row in result.summary:
         print(f"{row.n},{row.estimator},{row.noise_kind},"
               f"{row.mean_error:.6g},{row.median_error:.6g},{row.trials}")
-    if cfg.scenario.name == "fir":
-        db = snr_db(cfg.scenario_factory(cfg.n_grid[-1]), cfg.trials_per_point,
-                    cfg.master_seed)
+    if cfg.scenarios[-1].name == "fir":
+        db = snr_db(cfg.scenarios[-1], cfg.trials_per_point, cfg.master_seed)
         print(f"# SNR on corrupted observations: {db:.2f} dB")
     if cfg.out_path:
         print(f"# trials written to {cfg.out_path}")

@@ -1,7 +1,8 @@
 """Experiment orchestration: scenarios, seeded trials, sweeps, CSV output.
 
+A sweep is its list of scenarios, one per grid point in increasing n.
 Determinism contract: the full output of an experiment is a pure function of
-(config, master seed).  The seed for trial t at grid point i is
+(config, master seed).  The seed for trial t of the i-th scenario is
 ``derive_seed(master_seed, i, t)``; inside a trial, the input, parameter,
 noise and outlier draws use sub-seeds derived from the trial seed with fixed
 role tags, so changing one part of a scenario (say the noise kind) never
@@ -19,13 +20,14 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError, LadSysIdError, SpecError
-from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec,
+from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec, _coerce,
                      build_regressor, derive_seed, rng_from_seed, sample_input,
                      sample_noise, sample_outliers)
 from .solver import Estimate, l2_norm, lad_estimate, ls_estimate
@@ -100,6 +102,8 @@ class Scenario:
     estimators: tuple = ("lad", "ls")
 
     def __post_init__(self):
+        _coerce(self, ints=("n", "m"))
+        object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.m < 1 or self.n < self.m:
             raise SpecError(f"need n >= m >= 1, got n={self.n}, m={self.m}")
         if not self.estimators:
@@ -189,26 +193,20 @@ def run_trial(s: Scenario, seed: int, trial_index: int = 0) -> TrialRecord:
 
 @dataclass
 class ExperimentConfig:
-    """A scenario template swept over n with seeded repeated trials.
+    """A sweep: one Scenario per grid point, in strictly increasing n, each
+    run for ``trials_per_point`` seeded trials."""
 
-    ``scenario_factory``, when given, maps each grid n to the Scenario to
-    run (used by built-ins whose outlier count scales with n); otherwise the
-    template's n field is replaced per grid point.
-    """
-
-    scenario: Scenario
-    n_grid: Sequence[int]
+    scenarios: Sequence[Scenario]
     trials_per_point: int = 10
     master_seed: int = 0
     out_path: Optional[str] = None
-    scenario_factory: Optional[Callable[[int], Scenario]] = None
 
     def __post_init__(self):
-        grid = list(self.n_grid)
-        if not grid:
-            raise ConfigError("n_grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing")
+        _coerce(self, ints=("trials_per_point", "master_seed"))
+        if not self.scenarios:
+            raise ConfigError("a sweep needs at least one scenario")
+        if any(b.n <= a.n for a, b in zip(self.scenarios, self.scenarios[1:])):
+            raise ConfigError("the scenarios' n must be strictly increasing")
         if self.trials_per_point < 1:
             raise ConfigError("trials_per_point must be >= 1")
 
@@ -253,17 +251,12 @@ class ExperimentResult:
 
 
 def trial_rows(records: Sequence[TrialRecord]) -> list:
-    rows = []
-    for rec in records:
-        for run in rec.runs:
-            rows.append(TrialRow(
-                scenario_id=rec.scenario_id, n=rec.n, m=rec.m, trial=rec.trial,
-                estimator=run.estimator, error_l2=run.error_l2,
-                objective=run.objective, k=rec.k, status=run.status,
-                wall_ms=run.wall_ms,
-            ))
-    rows.sort(key=lambda r: (r.n, r.trial, r.estimator))
-    return rows
+    rows = [TrialRow(scenario_id=rec.scenario_id, n=rec.n, m=rec.m, trial=rec.trial,
+                     estimator=run.estimator, error_l2=run.error_l2,
+                     objective=run.objective, k=rec.k, status=run.status,
+                     wall_ms=run.wall_ms)
+            for rec in records for run in rec.runs]
+    return sorted(rows, key=lambda r: (r.n, r.trial, r.estimator))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -279,26 +272,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             pass
 
     records = []
-    for i, n in enumerate(cfg.n_grid):
-        if cfg.scenario_factory is not None:
-            scen = cfg.scenario_factory(n)
-        else:
-            scen = replace(cfg.scenario, n=n)
+    for i, scen in enumerate(cfg.scenarios):
         for t in range(cfg.trials_per_point):
             seed = derive_seed(cfg.master_seed, i, t)
             records.append(run_trial(scen, seed, trial_index=t))
 
     rows = trial_rows(records)
     summary = []
-    noise_kind = cfg.scenario.noise.kind
-    for n in cfg.n_grid:
-        for est in cfg.scenario.estimators:
+    for scen in cfg.scenarios:
+        for est in scen.estimators:
             errs = [r.error_l2 for r in rows
-                    if r.n == n and r.estimator == est and np.isfinite(r.error_l2)]
+                    if r.n == scen.n and r.estimator == est and np.isfinite(r.error_l2)]
             if not errs:
                 continue
             summary.append(SummaryRow(
-                n=n, estimator=est, noise_kind=noise_kind,
+                n=scen.n, estimator=est, noise_kind=scen.noise.kind,
                 mean_error=float(np.mean(errs)),
                 median_error=float(np.median(errs)),
                 trials=len(errs),
@@ -306,7 +294,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     if out is not None:
         emit_csv(rows, out)
-        emit_csv(summary, out.with_suffix(".summary.csv"))
+        emit_csv(summary, out.with_suffix(".summary.csv"), SummaryRow)
     return ExperimentResult(records=records, rows=rows, summary=summary)
 
 
@@ -320,15 +308,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows: Sequence, path) -> None:
-    """Write dataclass rows as RFC-4180 CSV with 17-significant-digit floats.
+def emit_csv(rows: Sequence, path, row_type=TrialRow) -> None:
+    """Write ``row_type`` rows as RFC-4180 CSV with 17-significant-digit floats.
 
-    An empty row list still produces a header when rows carry a known type;
-    the schema is taken from the first row's dataclass fields (TrialRow when
-    empty).
+    The columns are the fields of ``row_type``, so an empty row list still
+    gets its header.
     """
-    rows = list(rows)
-    row_type = type(rows[0]) if rows else TrialRow
     names = [f.name for f in dataclasses.fields(row_type)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -339,18 +324,10 @@ def emit_csv(rows: Sequence, path) -> None:
 
 def read_trials_csv(path) -> list:
     """Parse a trial CSV back into TrialRow records (exact float round-trip)."""
-    out = []
+    casts = get_type_hints(TrialRow)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            out.append(TrialRow(
-                scenario_id=rec["scenario_id"], n=int(rec["n"]), m=int(rec["m"]),
-                trial=int(rec["trial"]), estimator=rec["estimator"],
-                error_l2=float(rec["error_l2"]), objective=float(rec["objective"]),
-                k=int(rec["k"]), status=rec["status"],
-                wall_ms=float(rec["wall_ms"]),
-            ))
-    return out
+        return [TrialRow(**{name: cast(rec[name]) for name, cast in casts.items()})
+                for rec in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +362,8 @@ def consistency_scenario(noise_kind: str, n: int) -> Scenario:
 
 def consistency_config(noise_kind: str, n_grid=(100, 300, 1000), trials_per_point=10,
                    master_seed=0, out_path=None) -> ExperimentConfig:
-    grid = list(n_grid)
-    return ExperimentConfig(
-        scenario=consistency_scenario(noise_kind, grid[0]),
-        n_grid=grid,
-        trials_per_point=trials_per_point,
-        master_seed=master_seed,
-        out_path=out_path,
-        scenario_factory=lambda n: consistency_scenario(noise_kind, n),
-    )
+    return ExperimentConfig([consistency_scenario(noise_kind, n) for n in n_grid],
+                            trials_per_point, master_seed, out_path)
 
 
 def fir_scenario(n: int) -> Scenario:
@@ -411,15 +381,8 @@ def fir_scenario(n: int) -> Scenario:
 
 def fir_config(n_grid=(100, 200, 500, 1000), trials_per_point=10,
                master_seed=0, out_path=None) -> ExperimentConfig:
-    grid = list(n_grid)
-    return ExperimentConfig(
-        scenario=fir_scenario(grid[0]),
-        n_grid=grid,
-        trials_per_point=trials_per_point,
-        master_seed=master_seed,
-        out_path=out_path,
-        scenario_factory=fir_scenario,
-    )
+    return ExperimentConfig([fir_scenario(n) for n in n_grid],
+                            trials_per_point, master_seed, out_path)
 
 
 def snr_db(s: Scenario, trials: int, master_seed: int) -> float:
@@ -481,20 +444,20 @@ def scenario_table1() -> Table1:
 # ---------------------------------------------------------------------------
 
 _BUILTIN_CONFIGS = {
-    "consistency_gaussian": lambda: consistency_config("gaussian"),
-    "consistency_gamma": lambda: consistency_config("gamma"),
-    "consistency_exponential": lambda: consistency_config("exponential"),
+    "consistency_gaussian": partial(consistency_config, "gaussian"),
+    "consistency_gamma": partial(consistency_config, "gamma"),
+    "consistency_exponential": partial(consistency_config, "exponential"),
     "fir": fir_config,
 }
 
 
 def _object(d) -> dict:
-    """A spec object of a config file, which may not set a seed: the harness
+    """An object of a config file, which may not set a seed: the harness
     derives every sub-seed per trial and would overwrite it."""
     if not isinstance(d, dict):
-        raise ConfigError(f"a spec must be an object, got {d!r}")
+        raise ConfigError(f"the config root and each spec must be an object, got {d!r}")
     if "seed" in d:
-        raise ConfigError("a spec may not set a seed: every trial derives its own")
+        raise ConfigError("no object may set a seed: every trial derives its own from master_seed")
     return d
 
 
@@ -506,45 +469,31 @@ def _outliers_from_dict(d: dict) -> OutlierSpec:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON dict (see README schema).
-    Each spec object holds the fields of its dataclass, whose __post_init__
-    checks them, so an unknown key is a ConfigError like any bad value."""
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be an object")
+
+    The root holds ``builtin`` and that builtin's keyword arguments, or
+    ``scenario``, ``n_grid`` and ExperimentConfig's other fields, with
+    ``out`` for ``out_path``.  Each object is passed as keyword arguments,
+    so an unknown key is a ConfigError like any bad value.
+    """
+    if "out_path" in _object(d):
+        raise ConfigError("the output path's key is 'out'")
+    rest = dict(d)
+    if "out" in rest:
+        rest["out_path"] = rest.pop("out")
     try:
-        if "builtin" in d:
-            name = d["builtin"]
+        if "builtin" in rest:
+            name = rest.pop("builtin")
             if name not in _BUILTIN_CONFIGS:
                 raise ConfigError(
                     f"unknown builtin {name!r}; choose from {sorted(_BUILTIN_CONFIGS)}")
-            cfg = _BUILTIN_CONFIGS[name]()
-            if "n_grid" in d:
-                cfg = replace(cfg, n_grid=[int(v) for v in d["n_grid"]])
-            if "trials_per_point" in d:
-                cfg = replace(cfg, trials_per_point=int(d["trials_per_point"]))
-            if "master_seed" in d:
-                cfg = replace(cfg, master_seed=int(d["master_seed"]))
-            if "out" in d:
-                cfg = replace(cfg, out_path=d["out"])
-            return cfg
-        sd = d["scenario"]
-        n_grid = [int(v) for v in d["n_grid"]]
-        scen = Scenario(
-            name=str(sd.get("name", "scenario")),
-            n=int(sd.get("n", n_grid[0])),
-            m=int(sd["m"]),
-            input=InputDist(**_object(sd["input"])),
-            x_source=XSource(**_object(sd.get("x_source", {"kind": "gaussian_random"}))),
-            noise=NoiseSpec(**_object(sd.get("noise", {"kind": "none"}))),
-            outliers=_outliers_from_dict(_object(sd["outliers"])),
-            estimators=tuple(sd.get("estimators", ["lad", "ls"])),
-        )
-        return ExperimentConfig(
-            scenario=scen,
-            n_grid=n_grid,
-            trials_per_point=int(d.get("trials_per_point", 10)),
-            master_seed=int(d.get("master_seed", 0)),
-            out_path=d.get("out"),
-        )
+            return _BUILTIN_CONFIGS[name](**rest)
+        sd = {"name": "scenario", "x_source": {"kind": "gaussian_random"},
+              "noise": {"kind": "none"}, **_object(rest.pop("scenario"))}
+        sd.update(input=InputDist(**_object(sd["input"])),
+                  x_source=XSource(**_object(sd["x_source"])),
+                  noise=NoiseSpec(**_object(sd["noise"])),
+                  outliers=_outliers_from_dict(_object(sd["outliers"])))
+        return ExperimentConfig([Scenario(n=n, **sd) for n in rest.pop("n_grid")], **rest)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, SpecError) as exc:

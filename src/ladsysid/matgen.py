@@ -13,7 +13,7 @@ ziggurat sampler (``Generator.standard_exponential``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -59,6 +59,18 @@ def _coerce(spec, floats=(), ints=()) -> None:
         object.__setattr__(spec, name, int(value))
 
 
+def _check_params(spec, what: str, params, used=()) -> None:
+    """Of the fields ``params``, those in ``used`` must be positive and the
+    others, which ``what`` does not use, must keep their defaults:
+    {"kind": "none", "sigma": 2} is a SpecError, not a noiseless spec."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name in used and not value > 0:
+            raise SpecError(f"{what} requires {f.name} > 0")
+        if f.name in params and f.name not in used and value != f.default:
+            raise SpecError(f"{what} does not use {f.name}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # input sequences and the regressor matrix
 # ---------------------------------------------------------------------------
@@ -74,8 +86,8 @@ class InputDist:
         _coerce(self, floats=("sigma",))
         if self.kind not in ("gaussian", "bernoulli_pm1"):
             raise SpecError(f"unknown input distribution {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0:
-            raise SpecError("gaussian input requires sigma > 0")
+        _check_params(self, f"{self.kind} input", ("sigma",),
+                      ("sigma",) if self.kind == "gaussian" else ())
 
     @classmethod
     def gaussian(cls, sigma: float = 1.0) -> "InputDist":
@@ -143,6 +155,11 @@ def build_regressor(h, n: int, m: int) -> RegressorMatrix:
 # noise
 # ---------------------------------------------------------------------------
 
+#: the fields each noise kind uses
+_NOISE_PARAMS = {"none": (), "gaussian": ("sigma",), "gamma": ("shape", "scale"),
+                 "exponential": ("mean",)}
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive observation-noise model.
@@ -162,14 +179,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         _coerce(self, floats=("sigma", "shape", "scale", "mean"), ints=("seed",))
-        if self.kind not in ("none", "gaussian", "gamma", "exponential"):
+        if self.kind not in _NOISE_PARAMS:
             raise SpecError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0:
-            raise SpecError("gaussian noise requires sigma > 0")
-        if self.kind == "gamma" and not (self.shape > 0 and self.scale > 0):
-            raise SpecError("gamma noise requires shape > 0 and scale > 0")
-        if self.kind == "exponential" and not self.mean > 0:
-            raise SpecError("exponential noise requires mean > 0")
+        _check_params(self, f"{self.kind} noise", ("sigma", "shape", "scale", "mean"),
+                      _NOISE_PARAMS[self.kind])
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -239,6 +252,8 @@ class OutlierSpec:
         _coerce(self, floats=("max_fraction",), ints=("k", "seed"))
         if self.count_model not in ("fixed", "uniform_fraction"):
             raise SpecError(f"unknown count model {self.count_model!r}")
+        _check_params(self, f"{self.count_model} count model",
+                      ("max_fraction",) if self.count_model == "fixed" else ("k",))
         if self.count_model == "fixed" and self.k < 0:
             raise SpecError("fixed outlier count must be >= 0")
         if self.count_model == "uniform_fraction" and not 0 <= self.max_fraction <= 1:

@@ -358,6 +358,21 @@ class TestMcCertifier:
             seen[cert.verdict] += 1
         assert seen["falsified"] >= 20 and seen["unfalsified"] >= 20
 
+    @pytest.mark.parametrize("dist,n,m,K,e", [
+        (InputDist.gaussian(1.0), 60, 3, [0, 5, 9], -1040),
+        (InputDist.bernoulli_pm1(), 50, 2, [0, 5, 9], -990),
+        (InputDist.gaussian(1.0), 60, 3, [0, 5, 9], 5),
+    ])
+    def test_invariant_under_power_of_two_scaling(self, dist, n, m, K, e):
+        # H is brought to max|H| in [1, 2) first, so ||(Hz)_K||_1 stays
+        # clear of the scores' 1e-300 floor however small H is; H * 2^-1040
+        # is subnormal and keeps only about 40 bits of each entry
+        H = build_regressor(sample_input(dist, n, m, 1), n, m).entries
+        ref = certify_support_mc(H, K, trials=2000, seed=3)
+        cert = certify_support_mc(np.ldexp(H, e), K, trials=2000, seed=3)
+        assert cert.verdict == ref.verdict
+        assert cert.worst_gap == pytest.approx(ref.worst_gap, rel=1e-9)
+
     @pytest.mark.parametrize("trials", [1, 2, 9, 10, 11, 29, 30, 31])
     def test_batch_size_keeps_directions_and_first_minimum(self, monkeypatch, trials):
         # 10 directions per batch at n = 40: the draws come from one stream,

@@ -136,6 +136,17 @@ class TestExperiment:
         }))
         assert main(["experiment", "--config", str(cfg)]) == 0
 
+    def test_custom_scenario_named_fir_prints_snr(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": {"name": "fir", "m": 2, "input": {"kind": "gaussian"},
+                         "outliers": {"count_model": "fixed", "k": 3}},
+            "n_grid": [30, 40],
+            "trials_per_point": 2,
+        }))
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        assert "# SNR on corrupted observations:" in capsys.readouterr().out
+
     def test_seed_override_changes_results(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"builtin": "consistency_gaussian",

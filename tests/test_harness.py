@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ class TestRunTrial:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setitem(ladsysid.harness._ESTIMATORS, "lad", singular_pivot)
-        res = run_experiment(ExperimentConfig(scenario=clean_scenario(), n_grid=[30, 40],
+        res = run_experiment(ExperimentConfig(scenarios=[clean_scenario(n) for n in [30, 40]],
                                               trials_per_point=2, master_seed=3))
         assert len(res.records) == 4
         for rec in res.records:
@@ -120,7 +121,7 @@ class TestRunTrial:
             return H, x, e, w
 
         monkeypatch.setattr(ladsysid.harness, "_draw_trial", nan_outlier)
-        res = run_experiment(ExperimentConfig(scenario=clean_scenario(), n_grid=[30, 40],
+        res = run_experiment(ExperimentConfig(scenarios=[clean_scenario(n) for n in [30, 40]],
                                               trials_per_point=2, master_seed=3))
         assert len(res.records) == 4
         for rec in res.records:
@@ -206,7 +207,7 @@ class TestScenarioValidation:
 class TestRunExperiment:
     def test_summary_matches_manual_aggregation(self, tmp_path):
         cfg = ExperimentConfig(
-            scenario=clean_scenario(), n_grid=[40, 60], trials_per_point=3,
+            scenarios=[clean_scenario(n) for n in [40, 60]], trials_per_point=3,
             master_seed=11, out_path=str(tmp_path / "out.csv"),
         )
         res = run_experiment(cfg)
@@ -219,7 +220,7 @@ class TestRunExperiment:
             assert row.trials == 3
 
     def test_rows_are_canonically_ordered(self):
-        cfg = ExperimentConfig(scenario=clean_scenario(), n_grid=[40, 50],
+        cfg = ExperimentConfig(scenarios=[clean_scenario(n) for n in [40, 50]],
                                trials_per_point=2, master_seed=1)
         res = run_experiment(cfg)
         keys = [(r.n, r.trial, r.estimator) for r in res.rows]
@@ -230,7 +231,7 @@ class TestRunExperiment:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (p1, p2):
             run_experiment(ExperimentConfig(
-                scenario=clean_scenario(), n_grid=[30, 40], trials_per_point=2,
+                scenarios=[clean_scenario(n) for n in [30, 40]], trials_per_point=2,
                 master_seed=5, out_path=str(p)))
         rows1, rows2 = read_trials_csv(p1), read_trials_csv(p2)
         strip = lambda r: (r.scenario_id, r.n, r.m, r.trial, r.estimator,
@@ -239,14 +240,14 @@ class TestRunExperiment:
 
     def test_unwritable_path_fails_before_compute(self, tmp_path):
         cfg = ExperimentConfig(
-            scenario=clean_scenario(), n_grid=[40], trials_per_point=1,
+            scenarios=[clean_scenario(n) for n in [40]], trials_per_point=1,
             master_seed=0, out_path=str(tmp_path / "missing" / "out.csv"))
         with pytest.raises(OSError):
             run_experiment(cfg)
 
     def test_lad_dominates_ls_with_outliers_at_scale(self):
-        cfg = ExperimentConfig(scenario=outlier_scenario(500),
-                               n_grid=[500], trials_per_point=5, master_seed=2)
+        cfg = ExperimentConfig(scenarios=[outlier_scenario(n) for n in [500]],
+                               trials_per_point=5, master_seed=2)
         res = run_experiment(cfg)
         assert res.mean_error(500, "lad") < res.mean_error(500, "ls")
 
@@ -260,12 +261,26 @@ class TestRunExperiment:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(scenario=clean_scenario(), n_grid=[])
+            ExperimentConfig(scenarios=[clean_scenario(n) for n in []])
         with pytest.raises(ConfigError):
-            ExperimentConfig(scenario=clean_scenario(), n_grid=[50, 50])
+            ExperimentConfig(scenarios=[clean_scenario(n) for n in [50, 50]])
         with pytest.raises(ConfigError):
-            ExperimentConfig(scenario=clean_scenario(), n_grid=[50],
+            ExperimentConfig(scenarios=[clean_scenario(n) for n in [50]],
                              trials_per_point=0)
+
+
+    def test_summary_header_when_every_trial_fails(self, tmp_path, monkeypatch):
+        def singular(H, y):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        for name in ("lad", "ls"):
+            monkeypatch.setitem(ladsysid.harness._ESTIMATORS, name, singular)
+        out = tmp_path / "out.csv"
+        res = run_experiment(ExperimentConfig(scenarios=[clean_scenario(30)],
+                                              trials_per_point=2, out_path=str(out)))
+        assert res.summary == []
+        assert out.with_suffix(".summary.csv").read_text().splitlines() == [
+            "n,estimator,noise_kind,mean_error,median_error,trials"]
 
 
 class TestCsv:
@@ -284,7 +299,7 @@ class TestCsv:
         assert len(path.read_text().strip().splitlines()) == 2
 
     def test_roundtrip_full_precision(self, tmp_path):
-        cfg = ExperimentConfig(scenario=fir_scenario(120), n_grid=[120, 150],
+        cfg = ExperimentConfig(scenarios=[fir_scenario(n) for n in [120, 150]],
                                trials_per_point=2, master_seed=9)
         res = run_experiment(cfg)
         path = tmp_path / "trips.csv"
@@ -358,9 +373,9 @@ class TestConfigFiles:
             "master_seed": 17,
             "out": "x.csv",
         })
-        assert cfg.scenario.m == 3
-        assert cfg.scenario.noise.kind == "gamma"
-        assert cfg.n_grid == [50, 100]
+        assert cfg.scenarios[0].m == 3
+        assert cfg.scenarios[0].noise.kind == "gamma"
+        assert [s.n for s in cfg.scenarios] == [50, 100]
         assert cfg.trials_per_point == 4
         assert cfg.master_seed == 17
         assert cfg.out_path == "x.csv"
@@ -370,9 +385,20 @@ class TestConfigFiles:
                                 "n_grid": [100, 200],
                                 "trials_per_point": 2,
                                 "master_seed": 4})
-        assert cfg.scenario.noise.kind == "gamma"
-        assert cfg.scenario_factory is not None
-        assert cfg.scenario_factory(200).outliers.k == 100
+        assert cfg.scenarios[0].noise.kind == "gamma"
+        assert [s.outliers.k for s in cfg.scenarios] == [50, 100]
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_grid", [60, 90]), ("trials_per_point", 3), ("master_seed", 4), ("out", "x.csv")])
+    @pytest.mark.parametrize("name,direct", [
+        ("fir", fir_config),
+        ("consistency_gaussian", partial(consistency_config, "gaussian")),
+        ("consistency_gamma", partial(consistency_config, "gamma")),
+        ("consistency_exponential", partial(consistency_config, "exponential")),
+    ], ids=["fir", "gaussian", "gamma", "exponential"])
+    def test_builtin_takes_its_keyword_arguments(self, name, direct, key, value):
+        cfg = config_from_dict({"builtin": name, key: value})
+        assert cfg == direct(**{"out_path" if key == "out" else key: value})
 
     def test_fixed_x_vector(self):
         cfg = config_from_dict({
@@ -381,7 +407,7 @@ class TestConfigFiles:
                          "outliers": {"count_model": "fixed", "k": 0}},
             "n_grid": [10],
         })
-        assert cfg.scenario.x_source.vector == (1.0, 2.0)
+        assert cfg.scenarios[0].x_source.vector == (1.0, 2.0)
 
     @pytest.mark.parametrize("bad", [
         {"n_grid": [10]},                                     # no scenario
@@ -399,12 +425,42 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             config_from_dict(bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"builtin": "fir", "trial_per_point": 3},
+        {**scenario_dict(), "master_sed": 4},
+        {**scenario_dict(), "builtin": "fir"},
+        scenario_dict(estimator=["ls"]),
+        scenario_dict(n=10),
+        {**scenario_dict(), "n_grid": [60.7]},
+        {"builtin": "fir", "n_grid": [60.7]},
+        scenario_dict(m=2.5),
+        {**scenario_dict(), "trials_per_point": 2.5},
+        {"builtin": "fir", "trials_per_point": 2.5},
+        {**scenario_dict(), "out": "a.csv", "out_path": "b.csv"},
+    ], ids=["builtin-root-key", "scenario-root-key", "builtin-with-scenario",
+            "scenario-key", "scenario-n", "n_grid", "builtin-n_grid", "m",
+            "trials_per_point", "builtin-trials_per_point", "out_path"])
+    def test_every_key_is_checked(self, bad):
+        # the root and the scenario are keyword arguments of their function or
+        # dataclass, so no key is dropped and no count is truncated
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
+
+    @pytest.mark.parametrize("specs", [
+        {"input": {"kind": "bernoulli_pm1", "sigma": 5}},
+        {"noise": {"kind": "none", "sigma": 2}},
+        {"outliers": {"count_model": "fixed", "max_fraction": 0.3}},
+    ], ids=["input", "noise", "outliers"])
+    def test_field_the_kind_does_not_use_is_config_error(self, specs):
+        with pytest.raises(ConfigError, match="does not use"):
+            config_from_dict(scenario_dict(**specs))
+
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"builtin": "fir", "n_grid": [100],
                                     "trials_per_point": 1}))
         cfg = load_config(path)
-        assert cfg.scenario.name == "fir"
+        assert cfg.scenarios[0].name == "fir"
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -443,7 +499,7 @@ class TestConfigFiles:
     def test_k_must_be_integral(self):
         for k in (3, 3.0):
             spec = config_from_dict(scenario_dict(
-                outliers={"count_model": "fixed", "k": k})).scenario.outliers
+                outliers={"count_model": "fixed", "k": k})).scenarios[0].outliers
             assert spec.k == 3 and type(spec.k) is int
         with pytest.raises(ConfigError, match="integer"):
             config_from_dict(scenario_dict(outliers={"count_model": "fixed", "k": 3.5}))
@@ -451,7 +507,7 @@ class TestConfigFiles:
     def test_fields_are_coerced(self):
         scen = config_from_dict(scenario_dict(
             input={"kind": "gaussian", "sigma": 2},
-            x_source={"kind": "fixed", "vector": [1, 2]})).scenario
+            x_source={"kind": "fixed", "vector": [1, 2]})).scenarios[0]
         assert scen.input == InputDist.gaussian(2.0) and type(scen.input.sigma) is float
         assert scen.x_source.vector == (1.0, 2.0)
         assert all(type(v) is float for v in scen.x_source.vector)
@@ -464,12 +520,12 @@ class TestConfigFiles:
     ], ids=["none", "gaussian", "gamma", "exponential"])
     def test_every_noise_kind_builds_from_json(self, noise, expected):
         cfg = config_from_dict(json.loads(json.dumps(scenario_dict(noise=noise))))
-        assert cfg.scenario.noise == expected
+        assert cfg.scenarios[0].noise == expected
 
     def test_out_overrides_builtin(self):
         cfg = config_from_dict({"builtin": "consistency_exponential", "out": "e.csv"})
         assert cfg.out_path == "e.csv"
-        assert cfg.scenario.noise == NoiseSpec.exponential(np.sqrt(2.0) / 2.0)
+        assert cfg.scenarios[0].noise == NoiseSpec.exponential(np.sqrt(2.0) / 2.0)
 
     def test_readme_config_examples_parse(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

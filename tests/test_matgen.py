@@ -46,6 +46,11 @@ class TestSampleInput:
         with pytest.raises(SpecError):
             InputDist.gaussian(0.0)
 
+    def test_bernoulli_keeps_default_sigma(self):
+        assert InputDist("bernoulli_pm1", 1) == InputDist.bernoulli_pm1()
+        with pytest.raises(SpecError, match="does not use sigma"):
+            InputDist("bernoulli_pm1", sigma=5.0)
+
 
 class TestBuildRegressor:
     def test_three_by_three_window_pattern(self):
@@ -128,6 +133,15 @@ class TestSampleNoise:
         with pytest.raises(SpecError):
             NoiseSpec.exponential(0.0)
 
+    @pytest.mark.parametrize("kind,field", [
+        ("none", "sigma"), ("gaussian", "mean"), ("gamma", "sigma"), ("exponential", "scale")])
+    def test_field_the_kind_does_not_use_keeps_its_default(self, kind, field):
+        used = {"none": {}, "gaussian": {"sigma": 1.0}, "gamma": {"shape": 2.0, "scale": 1.0},
+                "exponential": {"mean": 1.0}}[kind]
+        NoiseSpec(kind, **used)
+        with pytest.raises(SpecError, match=f"does not use {field}"):
+            NoiseSpec(kind, **used, **{field: 2.0})
+
 
 class TestSampleOutliers:
     def test_zero_count_is_zero_vector(self):
@@ -174,3 +188,9 @@ class TestSampleOutliers:
             OutlierSpec.uniform_fraction(1.5)
         with pytest.raises(SpecError):
             Magnitude(0.0, 0.0)
+
+    def test_field_the_count_model_does_not_use_keeps_its_default(self):
+        with pytest.raises(SpecError, match="does not use max_fraction"):
+            OutlierSpec("fixed", k=3, max_fraction=0.3)
+        with pytest.raises(SpecError, match="does not use k"):
+            OutlierSpec("uniform_fraction", k=3, max_fraction=0.3)

@@ -381,7 +381,7 @@ class TestSolvePath:
                     _solve(mat, np.ones(3))
 
     def test_public_solve_fallback_gives_same_estimates(self, monkeypatch):
-        scen = config_from_dict({"scenario": NOISELESS_PM1, "n_grid": [100]}).scenario
+        scen = config_from_dict({"scenario": NOISELESS_PM1, "n_grid": [100]}).scenarios[0]
         cases = [_draw_trial(scen, derive_seed(1, 1, t)) for t in range(5)]
         cases.append(_draw_trial(consistency_scenario("gaussian", 300), derive_seed(0, 0, 0)))
         problems = [(H, H.entries @ x + e + w) for H, x, e, w in cases]
@@ -414,7 +414,7 @@ class TestVertexCertificate:
         scen = config_from_dict({"scenario": {
             "m": 5, "input": {"kind": "bernoulli_pm1"}, "noise": {"kind": "none"},
             "outliers": {"count_model": "uniform_fraction", "max_fraction": 0.8,
-                         "mean": 0.0, "sd": 10.0}}, "n_grid": [n]}).scenario
+                         "mean": 0.0, "sd": 10.0}}, "n_grid": [n]}).scenarios[0]
         calls = []
         inner = ladsysid.solver._certify_vertex
 

@@ -42,7 +42,7 @@ def test_install_wraps_every_site_and_uninstall_restores(tracing, capsys):
         scen = ladsysid.harness.config_from_dict({"scenario": {
             "m": 5, "input": {"kind": "bernoulli_pm1"}, "noise": {"kind": "none"},
             "outliers": {"count_model": "uniform_fraction", "max_fraction": 0.8,
-                         "mean": 0.0, "sd": 10.0}}, "n_grid": [100]}).scenario
+                         "mean": 0.0, "sd": 10.0}}, "n_grid": [100]}).scenarios[0]
         for t in range(4):
             ladsysid.harness.run_trial(scen, derive_seed(1, 100, t), t)
         assert ladsysid.cli.main(["certify", "--n", "12", "--m", "2", "--support", "0,5"]) == 0
