@@ -33,7 +33,7 @@ from .errors import (DimensionError, LadSysIdError, SingularSystemError,
 from .lp import solve_lp
 from .matgen import (InputDist, Magnitude, build_regressor, derive_seed,
                      rng_from_seed, sample_input)
-from .solver import _as_matrix, lad_estimate
+from .solver import _as_matrix, _unit_shift, lad_estimate
 from .threshold import normal_sf
 
 __all__ = [
@@ -54,6 +54,10 @@ SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 #: 3-9 us per vertex against 1.5-39 ms per sign-pattern LP (n = 30..500,
 #: m = 2..5, one BLAS thread), a ratio of 460-1900.
 _VERTEX_PER_LP = 1000
+#: Largest |K| for the sign-pattern route (2^19 LPs); the vertex route has no cap
+_PATTERN_CAP = 20
+_MARGIN = 1e-8          # the least worst_gap that certifies a support
+_RECOVERY_TOL = 1e-6    # empirical_recovery_rate's relative error bound
 #: Entries of the (directions x n) score buffer per batch (1 MB of float64):
 #: vertex enumeration and the randomized falsifier score each batch in one
 #: buffer, allocated once per call, that stays in cache between the product,
@@ -106,20 +110,21 @@ def balance_gap(H, K, z) -> float:
 
 def _unit_scaled(A):
     """A times the power of two that brings max|A| into [1, 2): exact, so no ratio moves."""
-    return np.ldexp(A, 1 - np.frexp(np.abs(A).max(initial=0.0))[1])
+    return np.ldexp(A, _unit_shift(np.abs(A).max(initial=0.0)))
 
 
-def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> SupportCert:
+def certify_support_exact(H, K) -> SupportCert:
     """Decide correctability of K exactly.
 
     ``worst_gap`` is 1 - max ||(Hz)_K||_1 over ||(Hz)_Kbar||_1 <= 1, and K is
-    certified only when it exceeds ``margin``.  The maximum comes from
+    certified only when it exceeds ``_MARGIN``.  The maximum comes from
     enumerating the C(n-|K|, m-1) vertices of that polytope when there are
     at most ``_VERTEX_PER_LP`` per sign pattern, and otherwise from one
-    m-row dual LP per sign pattern of (Hz) on K (2^(|K|-1) of them).  A
+    m-row dual LP per sign pattern of (Hz) on K (2^(|K|-1) of them); the
+    latter is refused with SupportSizeError when |K| > ``_PATTERN_CAP``.  A
     rank-deficient H_Kbar (as when K holds every row) is falsified with gap
     -inf.  A falsified verdict carries a unit witness z whose balance gap
-    is at most ``margin`` * ||(Hz)_Kbar||_1.  The pattern LPs' tolerances
+    is at most ``_MARGIN`` * ||(Hz)_Kbar||_1.  The pattern LPs' tolerances
     are absolute, so H is first scaled, exactly, by the power of two that
     brings max|H| into [1, 2); the ratio does not change.  A pattern LP that
     ends other than optimal is a LadSysIdError.
@@ -128,16 +133,16 @@ def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> Sup
     n, m = A.shape
     idx = _support_array(K, n)
     k = idx.size
-    if k > size_cap:
+    vertices = math.comb(n - k, m - 1)
+    method = "vertices" if vertices <= _VERTEX_PER_LP * 2 ** (k - 1) else "patterns"
+    if method == "patterns" and k > _PATTERN_CAP:
         raise SupportSizeError(
-            f"|K| = {k} exceeds the exact-certification cap {size_cap} "
-            f"(2^(|K|-1) sign patterns); use certify_support_mc instead")
+            f"|K| = {k} exceeds the sign-pattern route's cap {_PATTERN_CAP}, and the vertex "
+            f"route would score {vertices} vertices; use certify_support_mc instead")
     if np.linalg.matrix_rank(A) < m:
         raise SingularSystemError("regressor matrix is rank deficient")
     A = _unit_scaled(A)
     support = _support_tuple(idx)
-    vertices = math.comb(n - k, m - 1)
-    method = "vertices" if vertices <= _VERTEX_PER_LP * 2.0 ** (k - 1) else "patterns"
     if k == 0:
         return SupportCert(support, "certified", 1.0, method, 0)
     cidx = np.setdiff1d(np.arange(n), idx)
@@ -154,7 +159,7 @@ def certify_support_exact(H, K, size_cap: int = 20, margin: float = 1e-8) -> Sup
         best, z = _pattern_max(A, idx, cidx)
         work = 2 ** (k - 1)
     worst_gap = 1.0 - best
-    if worst_gap > margin:
+    if worst_gap > _MARGIN:
         return SupportCert(support, "certified", worst_gap, method, work)
     return SupportCert(support, "falsified", worst_gap, method, work,
                        witness=z / np.linalg.norm(z))
@@ -295,13 +300,12 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     return SupportCert(_support_tuple(idx), "unfalsified", worst, "mc", trials)
 
 
-def empirical_recovery_rate(H, K, trials: int, magnitude: Magnitude,
-                            seed: int, rel_tol: float = 1e-6) -> float:
+def empirical_recovery_rate(H, K, trials: int, magnitude: Magnitude, seed: int) -> float:
     """Fraction of random-instance trials where LAD recovers the parameters.
 
     Each trial draws x ~ N(0, I) and outlier magnitudes on K from
     ``magnitude``, forms y = Hx + e and solves the LAD problem; success
-    means x is recovered to ``rel_tol`` relative error.
+    means x is recovered to ``_RECOVERY_TOL`` relative error.
     """
     if trials < 1:
         raise DimensionError(f"trials must be >= 1, got {trials}")
@@ -317,7 +321,7 @@ def empirical_recovery_rate(H, K, trials: int, magnitude: Magnitude,
             e[idx] = rng.normal(magnitude.mean, magnitude.sd, size=idx.size)
         est = lad_estimate(A, A @ x + e)
         denom = max(np.linalg.norm(x), 1e-300)
-        if est.status == "optimal" and np.linalg.norm(est.x_hat - x) <= rel_tol * denom:
+        if est.status == "optimal" and np.linalg.norm(est.x_hat - x) <= _RECOVERY_TOL * denom:
             hits += 1
     return hits / trials
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import __version__
 from .cert import certify_support_exact, certify_support_mc
-from .errors import (ConfigError, LadSysIdError, SingularSystemError,
+from .errors import (ConfigError, LadSysIdError, SingularSystemError, SpecError,
                      SupportSizeError, ThresholdSearchError)
 from .harness import load_config, run_experiment, scenario_table1, snr_db
 from .matgen import InputDist, build_regressor, sample_input
@@ -84,8 +84,11 @@ def _cmd_experiment(args) -> int:
         print(f"{row.n},{row.estimator},{row.noise_kind},"
               f"{row.mean_error:.6g},{row.median_error:.6g},{row.trials}")
     if cfg.scenarios[-1].name == "fir":
-        db = snr_db(cfg.scenarios[-1], cfg.trials_per_point, cfg.master_seed)
-        print(f"# SNR on corrupted observations: {db:.2f} dB")
+        try:
+            snr = f"{snr_db(cfg.scenarios[-1], cfg.trials_per_point, cfg.master_seed):.2f} dB"
+        except SpecError:       # the sweep drew no outliers
+            snr = "undefined"
+        print(f"# SNR on corrupted observations: {snr}")
     if cfg.out_path:
         print(f"# trials written to {cfg.out_path}")
     return EXIT_OK

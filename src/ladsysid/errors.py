@@ -18,7 +18,7 @@ class SingularSystemError(LadSysIdError, ValueError):
 
 
 class SupportSizeError(LadSysIdError, ValueError):
-    """Outlier support too large for the exact certifier."""
+    """Outlier support too large for the exact certifier's sign-pattern route."""
 
 
 class ThresholdSearchError(LadSysIdError, RuntimeError):

@@ -239,24 +239,29 @@ class OutlierSpec:
     ``fixed(k)`` puts exactly k outliers; ``uniform_fraction(f)`` draws the
     count as round(U * f * n) with U uniform on [0, 1] (round half up), so
     the average corrupted fraction is f/2.  The support is a uniform random
-    k-subset of the rows.
+    k-subset of the rows.  The count model's own field must be given and the
+    other one left at None.
     """
 
     count_model: str
-    k: int = 0
-    max_fraction: float = 0.0
+    k: int | None = None
+    max_fraction: float | None = None
     magnitude: Magnitude = Magnitude(100.0, 50.0)
     seed: int = 0
 
     def __post_init__(self):
-        _coerce(self, floats=("max_fraction",), ints=("k", "seed"))
         if self.count_model not in ("fixed", "uniform_fraction"):
             raise SpecError(f"unknown count model {self.count_model!r}")
-        _check_params(self, f"{self.count_model} count model",
-                      ("max_fraction",) if self.count_model == "fixed" else ("k",))
-        if self.count_model == "fixed" and self.k < 0:
+        fixed = self.count_model == "fixed"
+        used, unused = ("k", "max_fraction") if fixed else ("max_fraction", "k")
+        what = f"{self.count_model} count model"
+        _check_params(self, what, (unused,))
+        if getattr(self, used) is None:
+            raise SpecError(f"{what} requires {used}")
+        _coerce(self, floats=() if fixed else (used,), ints=(used, "seed") if fixed else ("seed",))
+        if fixed and self.k < 0:
             raise SpecError("fixed outlier count must be >= 0")
-        if self.count_model == "uniform_fraction" and not 0 <= self.max_fraction <= 1:
+        if not fixed and not 0 <= self.max_fraction <= 1:
             raise SpecError("max_fraction must lie in [0, 1]")
 
     @classmethod

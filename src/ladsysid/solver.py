@@ -27,7 +27,8 @@ across pivots: sigma is 0 on the basis rows, so the price product needs no
 masked copy; the one product sigma * hd both selects the rows that cross zero
 (it equals |hd| exactly where the signs agree) and weights the line search;
 and the breakpoints come from one full-length divide.  The initial basis is one
-pivoted QR by LAPACK ``geqp3``, without forming Q.  None of this changes a
+pivoted QR by LAPACK ``geqp3``, without forming Q, retried on power-of-two
+scaled columns only when its rank test fails.  None of this changes a
 rounding: the estimates are bit for bit those of a full sort per pivot.
 
 Each pivot solves three m x m systems (the prices, the edge direction and the
@@ -148,22 +149,43 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _solve1(a, b, signature="dd->d")
 
 
+def _unit_shift(size):
+    """The power-of-two exponent that brings a positive ``size`` into [1, 2)
+    (1 for a zero ``size``); np.ldexp by it is exact."""
+    return 1 - np.frexp(size)[1]
+
+
+def _independent_rows(A: np.ndarray):
+    """m rows of A picked by geqp3 on its transpose, or None when the pivoted
+    QR finds A rank deficient."""
+    n, m = A.shape
+    lwork = int(_geqp3(A.T, lwork=-1, overwrite_a=True)[3][0])
+    qr, piv = _geqp3(A.T, lwork=lwork)[:2]
+    diag = np.abs(np.diag(qr))
+    if diag[m - 1] <= max(n, m) * np.finfo(float).eps * max(diag[0], 1e-300):
+        return None
+    return np.sort(piv[:m] - 1).astype(int)
+
+
 def _initial_basis(A: np.ndarray) -> np.ndarray:
     """m linearly independent rows found by pivoted QR of the transpose.
 
     Calls LAPACK geqp3 directly, after the same workspace query that
     ``scipy.linalg.qr(pivoting=True)`` makes, so the pivots and R agree with it
     bit for bit; Q is never formed.  The query does not touch the matrix, so it
-    may run on A itself; the factorization runs on a copy.
+    may run on A itself; the factorization runs on a copy.  The rank test is
+    relative to the largest column, so when it fails the QR is tried once more
+    with each column scaled by the power of two that brings its max into
+    [1, 2): that is exact and leaves every set of rows as independent as it
+    was, and an input the first test passes never reaches it.
     """
-    n, m = A.shape
-    lwork = int(_geqp3(A.T, lwork=-1, overwrite_a=True)[3][0])
-    qr, piv = _geqp3(A.T, lwork=lwork)[:2]
-    diag = np.abs(np.diag(qr))
-    if diag[m - 1] <= max(n, m) * np.finfo(float).eps * max(diag[0], 1e-300):
+    rows = _independent_rows(A)
+    if rows is None:
+        rows = _independent_rows(np.ldexp(A, _unit_shift(np.abs(A).max(axis=0))))
+    if rows is None:
         raise SingularSystemError(
-            f"regressor matrix is rank deficient (rank < m = {m})")
-    return np.sort(piv[:m] - 1).astype(int)
+            f"regressor matrix is rank deficient (rank < m = {A.shape[1]})")
+    return rows
 
 
 def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -> bool:
@@ -185,7 +207,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
     target = -grad_nz
     size = np.abs(At).max(axis=1, initial=0.0)
     size = np.where(size > 0.0, size, np.abs(target))
-    shift = 1 - np.frexp(size)[1]
+    shift = _unit_shift(size)
     At = np.ldexp(At, shift[:, None])
     target = np.ldexp(target, shift)
     p = At.shape[1]

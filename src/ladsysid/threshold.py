@@ -20,7 +20,7 @@ standard asymptotic expansion where erfc would underflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -41,6 +41,11 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 _LOG2 = np.log(2.0)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+#: strong_threshold's mu, delta and coarse beta grid sizes, and its bisection width
+_MU_POINTS = 200
+_DELTA_POINTS = 99
+_COARSE_POINTS = 200
+_BETA_TOL = 1e-6
 
 
 def normal_cdf(t):
@@ -99,6 +104,11 @@ def _tail_bracket(mu, delta):
     return _LOG2 + arg**2 / 2.0 + log_normal_sf(arg)
 
 
+def _lhs(beta, m, pos, tail):
+    """The inequality from its brackets: pos = _phi_bracket, tail = _tail_bracket."""
+    return entropy(beta) + m * beta * pos + (1.0 / (2 * m - 1) - beta) * tail
+
+
 def threshold_inequality(beta: float, m: int, mu, delta):
     """Value of the recoverability inequality; negative certifies beta.
 
@@ -114,9 +124,7 @@ def threshold_inequality(beta: float, m: int, mu, delta):
         raise ValueError("mu must be > 0")
     if np.any(dl_a <= 0) or np.any(dl_a >= 1):
         raise ValueError("delta must lie in (0, 1)")
-    out = (entropy(beta)
-           + m * beta * _phi_bracket(m, mu_a)
-           + (1.0 / (2 * m - 1) - beta) * _tail_bracket(mu_a, dl_a))
+    out = _lhs(beta, m, _phi_bracket(m, mu_a), _tail_bracket(mu_a, dl_a))
     return float(out) if (np.isscalar(mu) and np.isscalar(delta)) else out
 
 
@@ -127,16 +135,14 @@ class ThresholdResult:
     mu: float
     delta: float
     lhs_value: float
-    grid_meta: dict = field(default_factory=dict)
 
 
-def strong_threshold(m: int, beta_tol: float = 1e-6, mu_points: int = 200,
-                     delta_points: int = 99, coarse_points: int = 200) -> ThresholdResult:
+def strong_threshold(m: int) -> ThresholdResult:
     """Largest certified outlier fraction beta*(m) with its (mu, delta) witness.
 
     Searches mu over a logarithmic grid on [1e-2, 1e2] and delta over a
     uniform grid on [0.01, 0.99], brackets beta on a geometric coarse grid
-    and bisects to ``beta_tol``.  The search is confined to
+    and bisects to ``_BETA_TOL``.  The search is confined to
     beta < 1/(2m - 1): beyond that the inequality's clean-row count is
     nonpositive and the bound is vacuous.
 
@@ -150,52 +156,40 @@ def strong_threshold(m: int, beta_tol: float = 1e-6, mu_points: int = 200,
     """
     if not 1 <= m <= 50:
         raise ValueError(f"m must lie in 1..50, got {m}")
-    mu_grid = np.logspace(-2, 2, mu_points)
-    dl_grid = np.linspace(0.01, 0.99, delta_points)
+    mu_grid = np.logspace(-2, 2, _MU_POINTS)
+    dl_grid = np.linspace(0.01, 0.99, _DELTA_POINTS)
     pos = _phi_bracket(m, mu_grid)                            # mu
     tail = _tail_bracket(mu_grid[:, None], dl_grid[None, :])  # mu x delta
     tail_min = tail.min(axis=1)                               # mu
-    coef = 1.0 / (2 * m - 1)
-    beta_max = coef * (1.0 - 1e-9)
+    beta_max = 1.0 / (2 * m - 1) * (1.0 - 1e-9)
 
-    def min_lhs(beta):
-        return float((entropy(beta) + m * beta * pos + (coef - beta) * tail_min).min())
-
-    coarse = np.geomspace(1e-7, beta_max, coarse_points)
-    neg = (entropy(coarse)[:, None] + (m * coarse)[:, None] * pos
-           + (coef - coarse)[:, None] * tail_min).min(axis=1) < 0
+    coarse = np.geomspace(1e-7, beta_max, _COARSE_POINTS)
+    neg = _lhs(coarse[:, None], m, pos, tail_min).min(axis=1) < 0
     if not neg.any():
         raise ThresholdSearchError(
             f"no (beta, mu, delta) with a negative inequality value for m={m}; "
             "the search grid is misconfigured")
-    # hi is the next coarse point, not negative by min_lhs's arithmetic, or
+    # hi is the next coarse point, not negative by the same arithmetic, or
     # beta_max (geomspace ends there exactly) when all of them are negative
     last = int(np.nonzero(neg)[0].max())
     lo = coarse[last]
-    hi = coarse[last + 1] if last + 1 < coarse_points else beta_max
-    while hi - lo > beta_tol:
+    hi = coarse[last + 1] if last + 1 < _COARSE_POINTS else beta_max
+    while hi - lo > _BETA_TOL:
         mid = 0.5 * (lo + hi)
-        if min_lhs(mid) < 0:
+        if _lhs(mid, m, pos, tail_min).min() < 0:
             lo = mid
         else:
             hi = mid
 
     beta_star = lo
-    vals = entropy(beta_star) + m * beta_star * pos[:, None] + (coef - beta_star) * tail
-    i_mu, i_dl = np.unravel_index(int(np.argmin(vals)), (mu_points, delta_points))
+    vals = _lhs(beta_star, m, pos[:, None], tail)
+    i_mu, i_dl = np.unravel_index(int(np.argmin(vals)), vals.shape)
     return ThresholdResult(
         m=int(m),
         beta_star=float(beta_star),
         mu=float(mu_grid[i_mu]),
         delta=float(dl_grid[i_dl]),
         lhs_value=float(vals.min()),
-        grid_meta={
-            "mu_points": mu_points,
-            "delta_points": delta_points,
-            "coarse_points": coarse_points,
-            "beta_tol": beta_tol,
-            "beta_max": float(beta_max),
-        },
     )
 
 

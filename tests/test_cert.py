@@ -96,9 +96,32 @@ class TestExactCertifier:
         assert balance_gap(ONES_COLUMN, [0, 1], cert.witness) <= 0.0
 
     def test_cap_exceeded_points_to_mc(self):
-        H = gauss_toeplitz(30, 2, seed=3)
+        # C(179, 5) = 1.45e9 vertices against 1000 * 2^20: the pattern route,
+        # whose 2^20 LPs are over its cap
+        H = gauss_toeplitz(200, 6, seed=3)
         with pytest.raises(SupportSizeError, match="certify_support_mc"):
             certify_support_exact(H, list(range(21)))
+
+    def test_large_support_certified_by_vertices(self):
+        # |K| = 29 but only C(171, 2) = 14535 vertices: the cap on |K| is
+        # the pattern route's alone
+        H = gauss_toeplitz(200, 3, seed=0)
+        K = list(range(0, 200, 7))
+        cert = certify_support_exact(H, K)
+        assert (cert.verdict, cert.method, cert.work) == ("certified", "vertices", 14535)
+        assert cert.worst_gap == pytest.approx(0.809095, abs=1e-6)
+        # no sampled direction beats the exact worst ratio
+        mc = certify_support_mc(H, K, trials=10**4, seed=1)
+        assert mc.worst_gap >= 1.0 / (1.0 - cert.worst_gap) - 1.0 - 1e-9
+
+    @pytest.mark.parametrize("n,k", [(40, 21), (1200, 1100)])
+    def test_large_support_falsified_by_vertices(self, n, k):
+        # m = 2: n - k vertices; 2^(k-1) is beyond the float range at k = 1100
+        H = gauss_toeplitz(n, 2, seed=0)
+        K = list(range(k))
+        cert = certify_support_exact(H, K)
+        assert (cert.verdict, cert.method, cert.work) == ("falsified", "vertices", n - k)
+        assert balance_gap(H, K, cert.witness) <= 0.0
 
     def test_monotone_in_support(self):
         # subsets of a certified support stay certified

@@ -1,8 +1,10 @@
 import json
 
 import ladsysid.cert
+from ladsysid import balance_gap
 from ladsysid.cli import main
 from ladsysid.lp import LpResult
+from oracles import gauss_toeplitz
 
 
 class TestBasics:
@@ -45,9 +47,36 @@ class TestCertify:
 
     def test_cap_exceeded_is_config_error(self, capsys):
         support = ",".join(str(i) for i in range(21))
-        rc = main(["certify", "--n", "40", "--m", "2", "--support", support])
+        rc = main(["certify", "--n", "200", "--m", "6", "--support", support])
         assert rc == 1
         assert "certify_support_mc" in capsys.readouterr().err
+
+    def test_large_support_on_vertex_route(self, capsys):
+        support = ",".join(str(i) for i in range(0, 200, 7))
+        rc = main(["certify", "--n", "200", "--m", "3", "--support", support])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "verdict: certified" in out
+        assert "method: vertices (14535 vertices scored)" in out
+
+    def test_falsified_prints_witness(self, capsys):
+        K = [0, 1, 4, 5, 6, 7, 8, 9]
+        rc = main(["certify", "--n", "30", "--m", "3", "--support",
+                   ",".join(map(str, K)), "--input-seed", "3"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "verdict: falsified" in out
+        line = next(line for line in out.splitlines() if line.startswith("witness: "))
+        assert line == "witness: 0.679251 -0.591142 0.434935"
+        z = [float(v) for v in line.split()[1:]]
+        assert balance_gap(gauss_toeplitz(30, 3, seed=3), K, z) <= 0.0
+
+    def test_rank_deficient_input_is_solver_error(self, capsys):
+        # +-1 input seed 4 at n = 6, m = 3 gives a regressor of rank 2
+        rc = main(["certify", "--n", "6", "--m", "3", "--support", "0",
+                   "--input", "bernoulli_pm1", "--input-seed", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("solver error:")
 
     def test_malformed_support_list(self, capsys):
         rc = main(["certify", "--n", "10", "--m", "2", "--support", "0,x"])
@@ -146,6 +175,21 @@ class TestExperiment:
         }))
         assert main(["experiment", "--config", str(cfg)]) == 0
         assert "# SNR on corrupted observations:" in capsys.readouterr().out
+
+    def test_fir_scenario_without_outliers_has_undefined_snr(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "trials.csv"
+        cfg.write_text(json.dumps({
+            "scenario": {"name": "fir", "m": 2, "input": {"kind": "gaussian"},
+                         "outliers": {"count_model": "fixed", "k": 0}},
+            "n_grid": [30],
+            "trials_per_point": 2,
+            "out": str(out),
+        }))
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["# SNR on corrupted observations: undefined",
+                              f"# trials written to {out}"]
 
     def test_seed_override_changes_results(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

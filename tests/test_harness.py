@@ -455,6 +455,15 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="does not use"):
             config_from_dict(scenario_dict(**specs))
 
+    @pytest.mark.parametrize("outliers,field", [
+        ({"count_model": "fixed"}, "k"),
+        ({"count_model": "uniform_fraction"}, "max_fraction"),
+    ], ids=["fixed", "uniform_fraction"])
+    def test_omitted_outlier_count_is_config_error(self, outliers, field):
+        # an omitted count is not 0: the count model's field must be given
+        with pytest.raises(ConfigError, match=f"requires {field}"):
+            config_from_dict(scenario_dict(outliers=outliers))
+
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"builtin": "fir", "n_grid": [100],

@@ -641,6 +641,63 @@ class TestPowerOfTwoScaling:
                 assert est.status == "optimal"
                 assert est.objective == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ["pm1", "gaussian"])
+    def test_columns_far_apart_in_scale_match_highs(self, kind):
+        # the initial basis's rank test is relative to the largest column, so
+        # it is retried with each column brought to max in [1, 2)
+        for seed in range(30):
+            H, y = toeplitz_instance(kind, 90, 3, seed, noise=False)
+            ref = highs_lad_objective(H, y)
+            for scale in ((1.0, 2.0**-52, 1.0), (2.0**26, 1.0, 2.0**-26),
+                          (1.0, 1.0, 2.0**-60)):
+                est = lad_estimate(H * np.array(scale), y)
+                assert est.status == "optimal", (seed, scale)
+                assert est.objective == pytest.approx(ref, rel=1e-9), (seed, scale)
+
+    def test_rank_deficient_still_raises_after_column_scaling(self):
+        H, y = toeplitz_instance("pm1", 90, 3, 0, noise=False)
+        for third in (2.0**-60 * H[:, 0], np.zeros(90)):
+            with pytest.raises(SingularSystemError):
+                lad_estimate(np.column_stack([H[:, :2], third]), y)
+
+
+class TestDecimalScaling:
+    """Rescaling y or a column of H by a power of ten is not exact, so the
+    pivots may move, but LAD must still end ``optimal`` at the optimum of the
+    unscaled problem, scaled."""
+
+    @staticmethod
+    def instance(kind, seed, n=120, m=4, k=20):
+        """Gaussian input with noise of sd 0.1, or +-1 input with integer
+        outliers; k outliers either way."""
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            H = build_regressor(rng.standard_normal(n + m - 1), n, m).entries
+            y = H @ rng.standard_normal(m) + 0.1 * rng.standard_normal(n)
+            y[rng.choice(n, k, replace=False)] += 10.0 * rng.standard_normal(k)
+        else:
+            H = build_regressor(rng.choice([-1.0, 1.0], size=n + m - 1), n, m).entries
+            y = H @ rng.standard_normal(m)
+            y[rng.choice(n, k, replace=False)] += (rng.choice([-1.0, 1.0], size=k)
+                                                    * rng.integers(1, 20, size=k))
+        return H, y
+
+    @pytest.mark.parametrize("kind", ["gaussian", "pm1"])
+    def test_matches_highs_on_unscaled_data(self, kind):
+        for seed in range(10):
+            H, y = self.instance(kind, seed)
+            ref = highs_lad_objective(H, y)
+            for factor in (1e6, 1e-6, 1e-12):
+                est = lad_estimate(H, factor * y)
+                assert est.status == "optimal", (seed, factor)
+                assert est.objective == pytest.approx(factor * ref, rel=1e-9), (seed, factor)
+            for factor in (1e6, 1e-6, 1e12, 1e-12):
+                scale = np.ones(H.shape[1])
+                scale[seed % H.shape[1]] = factor
+                est = lad_estimate(H * scale, y)
+                assert est.status == "optimal", (seed, factor)
+                assert est.objective == pytest.approx(ref, rel=1e-9), (seed, factor)
+
 
 class TestLargeScale:
     """y scaled toward the float range on a 60 x 3 Gaussian Toeplitz instance
