@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 
 from ladsysid import InputDist, build_regressor, lad_estimate, sample_input
+from ladsysid.lp import solve_lp
 
 
 def gauss_toeplitz(n, m, seed, sigma=1.0):
@@ -124,3 +125,25 @@ def highs_box_feasible(B, b, bounds):
     res = linprog(np.zeros(B.shape[1]), A_eq=B, b_eq=b, bounds=bounds, method="highs")
     assert res.status in (0, 2), res.message
     return res.status == 0
+
+
+def vertex_check_lp_only(A, zero_mask, grad_nz):
+    """LAD's degenerate-vertex check decided by the box-feasibility LP alone:
+    is there a w with |w| <= 1 + 1e-9 and A_Z' w = -grad_nz within 1e-8 of the
+    largest target entry, after each row is scaled by a power of two so its
+    largest entry lies in [1, 2)?  The LP's point is re-verified."""
+    At = A[zero_mask].T
+    target = -grad_nz
+    size = np.abs(At).max(axis=1, initial=0.0)
+    size = np.where(size > 0.0, size, np.abs(target))
+    shift = 1 - np.frexp(size)[1]
+    At = np.ldexp(At, shift[:, None])
+    target = np.ldexp(target, shift)
+    p = At.shape[1]
+    res = solve_lp(np.zeros(p), At, target, np.full(p, -1.0), np.ones(p))
+    if res.status != "optimal":
+        return False
+    w = res.x
+    scale = float(np.abs(target).max()) or 1.0
+    return bool(np.abs(w).max(initial=0.0) <= 1.0 + 1e-9
+                and float(np.abs(At @ w - target).max()) <= 1e-8 * scale)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import ladsysid.harness
 import ladsysid.solver
 from ladsysid.harness import _draw_trial, config_from_dict
 from ladsysid.solver import _SOLVE_ERRSTATE, _certify_vertex, _leaving_index, _solve
-from oracles import highs_box_feasible, highs_lad_objective
+from oracles import highs_box_feasible, highs_lad_objective, vertex_check_lp_only
 
 
 def lad_bruteforce_objective(H, y):
@@ -34,6 +35,26 @@ def random_instance(rng, n_max=8, m_max=2):
     m = int(rng.integers(1, m_max + 1))
     m = min(m, n)
     return rng.standard_normal((n, m)), rng.standard_normal(n)
+
+
+def count_vertex_lps(monkeypatch):
+    """Wrap ``solver.solve_lp``; the returned list grows by one per LP run."""
+    calls = []
+    inner = ladsysid.solver.solve_lp
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+    monkeypatch.setattr(ladsysid.solver, "solve_lp", counted)
+    return calls
+
+
+def routed_check(lps, A, zero_mask, grad_nz):
+    """``_certify_vertex``'s verdict and the route that decided it: ``lp`` when
+    it ran the LP (counted in ``lps``), else ``witness`` or ``separator``."""
+    before = len(lps)
+    got = _certify_vertex(A, zero_mask, grad_nz)
+    return got, "lp" if len(lps) > before else "witness" if got else "separator"
 
 
 def gauss_toeplitz(n, m, seed, sigma=1.0):
@@ -431,12 +452,24 @@ class TestVertexCertificate:
     @pytest.mark.parametrize("n,trials", [(40, 40), (100, 24), (250, 12), (600, 6)])
     def test_verdicts_match_highs(self, monkeypatch, n, trials):
         calls = self.vertex_checks(monkeypatch, n, trials)
-        verdicts = []
+        lps = count_vertex_lps(monkeypatch)
+        verdicts, routes = [], set()
         for A, zero_mask, grad_nz in calls:
-            got = _certify_vertex(A, zero_mask, grad_nz)
+            got, route = routed_check(lps, A, zero_mask, grad_nz)
+            assert got == vertex_check_lp_only(A, zero_mask, grad_nz)
             assert got == highs_box_feasible(A[zero_mask].T, -grad_nz, (-1.0, 1.0))
             verdicts.append(got)
+            routes.add(route)
         assert any(verdicts) and not all(verdicts)
+        assert {"witness", "separator"} <= routes
+
+    def test_every_route_decides_some_vertex(self, monkeypatch):
+        # at n = 100 trials 8 and 10 each leave one check to the LP (found by
+        # counting the LP calls of every trial at the four sizes above)
+        calls = self.vertex_checks(monkeypatch, 100, 24)
+        lps = count_vertex_lps(monkeypatch)
+        routes = [routed_check(lps, *call)[1] for call in calls]
+        assert set(routes) == {"witness", "separator", "lp"}
 
     def test_noisy_solves_run_no_check(self, monkeypatch):
         # off the basis no residual of a noisy instance is zero, so no vertex
@@ -453,6 +486,102 @@ class TestVertexCertificate:
         # y = Hx exactly: every residual vanishes and the gradient is empty
         A = gauss_toeplitz(30, 3, seed=4).entries
         assert _certify_vertex(A, np.ones(30, dtype=bool), np.zeros(3))
+
+
+class TestVertexCheckMargin:
+    """The Gram witness and separator where they come closest to a wrong
+    answer: the least-norm w on the box boundary, problems infeasible by less
+    than the acceptance tolerances, and a singular Gram matrix.  The verdict
+    must be the LP-only check's every time."""
+
+    DELTAS = [-1e-6, -1e-12, 0.0, 1e-15, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8,
+              3e-8, 1e-7, 1e-6]
+
+    @staticmethod
+    def boundary_instance(rng, kind, delta):
+        """(At, target) whose least-norm solution is (1 + delta) w0, max|w0| = 1.
+
+        ``signs``: w0 is a sign vector s and At's first row a multiple of s, so
+        every entry sits on the boundary; for delta > 0, v = e_1 shows the
+        problem infeasible, by less than the 1e-9 box allowance up to
+        delta = 1e-9.  ``partial``: w0 = At'c rescaled, one entry on the
+        boundary and the rest inside."""
+        m = int(rng.integers(2, 7))
+        p = int(rng.integers(m + 1, 40))
+        At = rng.standard_normal((m, p))
+        if kind == "signs":
+            w0 = rng.choice([-1.0, 1.0], size=p)
+            At[0] = w0 * rng.uniform(0.5, 2.0)
+        else:
+            w0 = At.T @ rng.standard_normal(m)
+            w0 /= np.abs(w0).max()
+        return At, (1.0 + delta) * (At @ w0)
+
+    @pytest.mark.parametrize("kind", ["signs", "partial"])
+    def test_boundary_and_tolerance_infeasible_match_lp_only(self, monkeypatch, kind):
+        rng = np.random.default_rng(31)
+        lps = count_vertex_lps(monkeypatch)
+        routes = set()
+        for delta in self.DELTAS:
+            for _ in range(20):
+                At, target = self.boundary_instance(rng, kind, delta)
+                A, zero_mask = At.T.copy(), np.ones(At.shape[1], dtype=bool)
+                got, route = routed_check(lps, A, zero_mask, -target)
+                assert got == vertex_check_lp_only(A, zero_mask, -target), (delta, route)
+                if delta <= 0.0:
+                    assert got
+                if delta <= 1e-9:
+                    # w0 itself passes the acceptance test
+                    assert route != "separator"
+                routes.add(route)
+        assert routes == ({"witness", "separator", "lp"} if kind == "signs"
+                          else {"witness", "lp"})
+
+    @pytest.mark.parametrize("miss", [1.0 - 1e-6, 1.0])
+    def test_separator_spares_a_point_at_both_allowances(self, monkeypatch, miss):
+        # At's first row is a sign vector s and every row's largest entry is 1,
+        # so the check scales no row.  w' = (1 + 1e-9) s misses the target by
+        # miss * 1e-8 * scale, in the first row only: it passes the acceptance
+        # test with both allowances used up, so the separator, whose v is close
+        # to e_1 here, sits at its bound and must not answer.  At miss = 1 it
+        # sits there to within rounding: without its rounding term the
+        # separator answered no on about 4% of these instances
+        rng = np.random.default_rng(32)
+        lps = count_vertex_lps(monkeypatch)
+        for _ in range(200):
+            m = int(rng.integers(2, 7))
+            p = int(rng.integers(m + 1, 40))
+            At = rng.uniform(-1.0, 1.0, size=(m, p))
+            At[0] = rng.choice([-1.0, 1.0], size=p)
+            At[:, 0] = 1.0
+            w_edge = (1.0 + 1e-9) * At[0]
+            target = At @ w_edge
+            target[0] += miss * 1e-8 * np.abs(target).max()
+            assert np.abs(w_edge).max() <= 1.0 + 1e-9
+            assert np.abs(At @ w_edge - target).max() <= 1e-8 * np.abs(target).max()
+            A, zero_mask = At.T.copy(), np.ones(p, dtype=bool)
+            got, route = routed_check(lps, A, zero_mask, -target)
+            assert route != "separator"
+            assert got == vertex_check_lp_only(A, zero_mask, -target)
+
+    @pytest.mark.parametrize("perturb", [0.0, 2.0 ** -40])
+    def test_singular_gram_goes_to_the_lp_without_warnings(self, monkeypatch, perturb):
+        # the second row is the first, doubled (equal once rows are scaled) or
+        # perturbed in its last entry: the Gram matrix is singular or nearly so
+        At = np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0 + perturb],
+                       [0.5, -1.0, 0.25, 1.0]])
+        lps = count_vertex_lps(monkeypatch)
+        verdicts = []
+        for w0 in ([0.5, -0.25, 0.0, 0.75], [1.0, 1.0, 1.0, 1.0], [3.0, 0.0, 0.0, 0.0],
+                   [1.0, 1.0, 1.0, 1.5]):
+            grad_nz = -(At @ np.array(w0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, route = routed_check(lps, At.T.copy(), np.ones(4, dtype=bool), grad_nz)
+            assert route == "lp"
+            assert got == vertex_check_lp_only(At.T, np.ones(4, dtype=bool), grad_nz)
+            verdicts.append(got)
+        assert verdicts == [True, True, True, False]
 
 
 class TestEstimateInvariants:
