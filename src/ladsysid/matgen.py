@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, SpecError
 
@@ -146,7 +145,9 @@ def build_regressor(h, n: int, m: int) -> RegressorMatrix:
         raise DimensionError(
             f"input sequence has length {values.shape}, expected {n + m - 1}"
         )
-    entries = scipy.linalg.hankel(values[:n], values[n - 1:])
+    # C-ordered, like scipy.linalg.hankel(values[:n], values[n - 1:]): the
+    # memory order fixes the bits of every product with the matrix
+    entries = np.lib.stride_tricks.sliding_window_view(values, m).copy()
     entries.flags.writeable = False
     return RegressorMatrix(entries=entries, n=int(n), m=int(m))
 

@@ -36,8 +36,10 @@ masked copy; the one product sigma * hd both selects the rows that cross zero
 (it equals |hd| exactly where the signs agree) and weights the line search;
 and the breakpoints come from one full-length divide.  The initial basis is one
 pivoted QR by LAPACK ``geqp3``, without forming Q, retried on power-of-two
-scaled columns only when its rank test fails.  None of this changes a
-rounding: the estimates are bit for bit those of a full sort per pivot.
+scaled columns only when its rank test fails; ``geqp3`` is bound from scipy's
+``_flapack`` extension file (``_load_geqp3``), so importing this module does
+not import scipy.  None of this changes a rounding: the estimates are bit for
+bit those of a full sort per pivot.
 
 Each pivot solves three m x m systems (the prices, the edge direction and the
 new vertex).  They go straight to the LAPACK gufunc behind ``np.linalg.solve``
@@ -57,10 +59,14 @@ and LAD's verdicts do not change when columns of H are rescaled.
 
 from __future__ import annotations
 
+import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3 as _geqp3
 
 from .errors import DimensionError, SingularSystemError
 from .lp import solve_lp
@@ -70,6 +76,48 @@ try:
     from numpy.linalg._umath_linalg import solve1 as _solve1
 except ImportError:  # private numpy module: ``_solve`` falls back to np.linalg.solve
     _solve1 = None
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_geqp3():
+    """LAPACK dgeqp3 from scipy's ``_flapack`` extension, loaded from its file.
+
+    Importing ``scipy.linalg`` costs about 0.3 s (its array-API shim loads
+    ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``), more than the rest of
+    a sweep's start-up; the extension alone loads in about 10 ms and is
+    the very module ``scipy.linalg.lapack`` wraps, so its dgeqp3 is the same
+    function.  When the file cannot be found or loaded, the public import is
+    used.
+    """
+    module = sys.modules.get(_FLAPACK) or _flapack_from_file()
+    if module is None:
+        from scipy.linalg.lapack import dgeqp3
+        return dgeqp3
+    return module.dgeqp3
+
+
+def _flapack_from_file():
+    """scipy's ``_flapack`` module, loaded without running ``scipy/__init__``
+    or ``scipy/linalg/__init__`` and kept out of ``sys.modules`` (a later
+    ``import scipy.linalg`` gets the same functions from the interpreter's
+    cache of loaded extensions); None when no file is found or it fails to load."""
+    spec = find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                try:
+                    return module_from_spec(
+                        spec_from_loader(_FLAPACK, ExtensionFileLoader(_FLAPACK, path)))
+                except ImportError:
+                    return None
+                finally:
+                    sys.modules.pop(_FLAPACK, None)   # loading it put it there
+    return None
+
+
+_geqp3 = _load_geqp3()
 
 __all__ = ["Estimate", "lad_estimate", "ls_estimate"]
 
@@ -222,7 +270,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
     row j of (At, target) is first scaled by the power of two that brings
     max|At_j| (|target_j| when At_j = 0) into [1, 2).  That is exact, it
     undoes any power-of-two scaling of H's columns, and it leaves a row of
-    +-1 entries as it is.
+    +-1 entries as it is (when every shift is 0 nothing is scaled).
 
     One m x m Gram solve, v = (At At')^-1 target and w = At' v, then decides
     nearly every check, in one direction or the other:
@@ -265,13 +313,15 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
     separates, and a NaN raises LinAlgError inside ``_SOLVE_ERRSTATE``; both
     go to the LP.
     """
-    At = A[zero_mask].T  # m x p
+    At = A.take(zero_mask.nonzero()[0], axis=0).T  # m x p
     target = -grad_nz
-    size = np.abs(At).max(axis=1, initial=0.0)
-    size = np.where(size > 0.0, size, np.abs(target))
-    shift = _unit_shift(size)
-    At = np.ldexp(At, shift[:, None])
-    target = np.ldexp(target, shift)
+    # row maxima over a C-ordered |At|: each reduction then runs along memory
+    sizes = np.abs(At, order="C").max(axis=1, initial=0.0).tolist()
+    shift = [1 - math.frexp(size or abs(t))[1] for size, t in zip(sizes, target.tolist())]
+    if any(shift):
+        shift = np.array(shift)
+        At = np.ldexp(At, shift[:, None])
+        target = np.ldexp(target, shift)
     m, p = At.shape
     scale = float(np.abs(target).max()) or 1.0
     with np.errstate(**_SOLVE_ERRSTATE):
@@ -418,8 +468,8 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
                 checked_degenerate = it
                 zero_mask = zero_off.copy()
                 zero_mask[basis] = True
-                nz = ~zero_mask
-                grad_nz = A[nz].T @ np.sign(r[nz])
+                nz = (~zero_mask).nonzero()[0]
+                grad_nz = A.take(nz, axis=0).T @ np.sign(r[nz])
                 if _certify_vertex(A, zero_mask, grad_nz):
                     status = "optimal"
                     break

@@ -15,7 +15,9 @@ grid is evaluated once, at beta*, for the witness.
 The normal CDF is evaluated through the complementary error function
 (``scipy.special.erfc``), Phi(t) = erfc(-t/sqrt(2))/2, accurate to a few
 ulp over the whole real line; the log Gaussian tail switches to the
-standard asymptotic expansion where erfc would underflow.
+standard asymptotic expansion where erfc would underflow.  ``scipy.special``
+is imported on first use, inside the three functions that evaluate erfc, so
+importing the package (and running a sweep) does not load scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ThresholdSearchError
 
@@ -50,12 +51,14 @@ _BETA_TOL = 1e-6
 
 def normal_cdf(t):
     """Standard Gaussian CDF Phi(t), scalar or array."""
+    from scipy.special import erfc
     out = 0.5 * erfc(-np.asarray(t, dtype=float) / _SQRT2)
     return float(out) if np.isscalar(t) else out
 
 
 def normal_sf(t):
     """Upper tail 1 - Phi(t) without cancellation for large t."""
+    from scipy.special import erfc
     out = 0.5 * erfc(np.asarray(t, dtype=float) / _SQRT2)
     return float(out) if np.isscalar(t) else out
 
@@ -68,6 +71,7 @@ def log_normal_sf(t):
     Q(t) = phi(t)/t * (1 - 1/t^2 + 3/t^4 - 15/t^6 + 105/t^8 - ...)
     is accurate to better than 1e-12 relative.
     """
+    from scipy.special import erfc
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(arr)
     small = arr <= 36.0

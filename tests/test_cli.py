@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import ladsysid
 import ladsysid.cert
 from ladsysid import balance_gap
 from ladsysid.cli import main
@@ -225,3 +230,38 @@ class TestExperiment:
         rc = main(["experiment", "--config", str(cfg),
                    "--out", str(tmp_path / "no" / "dir" / "o.csv")])
         assert rc == 1
+
+
+class TestColdStart:
+    """A sweep never imports scipy: ``solver`` loads LAPACK geqp3 from scipy's
+    extension file and ``threshold`` imports erfc on first use, so a fresh
+    ``ladsysid experiment`` process skips scipy's start-up."""
+
+    SCRIPT = """
+import sys
+from ladsysid.cli import main
+for config in sys.argv[1:]:
+    assert main(["experiment", "--config", config, "--out", config + ".csv"]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, loaded
+assert main(["threshold", "--m-max", "2"]) == 0
+"""
+
+    def test_sweep_imports_no_scipy(self, tmp_path):
+        noiseless = {"scenario": {"m": 5, "input": {"kind": "bernoulli_pm1"},
+                                  "noise": {"kind": "none"},
+                                  "outliers": {"count_model": "uniform_fraction",
+                                               "max_fraction": 0.8, "sd": 10.0}},
+                     "n_grid": [100], "trials_per_point": 1}
+        fir = {"builtin": "fir", "n_grid": [60], "trials_per_point": 1}
+        configs = []
+        for name, cfg in (("noiseless", noiseless), ("fir", fir)):
+            configs.append(tmp_path / f"{name}.json")
+            configs[-1].write_text(json.dumps(cfg))
+        src = str(Path(ladsysid.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *map(str, configs)],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "m=  2  beta_star=0.026031" in proc.stdout

@@ -89,6 +89,21 @@ class TestBuildRegressor:
         H = build_regressor(seq, 30, 3)
         assert len(np.unique(H.entries)) == 32
 
+    def test_matches_scipy_hankel_bit_for_bit(self):
+        # C order as well as values: the memory order fixes the bits of A @ x
+        import scipy.linalg
+        rng = np.random.default_rng(4)
+        shapes = [(1, 1), (1, 6), (7, 1), (2, 5), (3, 9), (600, 5), (30000, 5)]
+        shapes += [tuple(int(k) for k in rng.integers(1, 300, size=2)) for _ in range(30)]
+        for n, m in shapes:
+            for dist in (InputDist.gaussian(1.0), InputDist.bernoulli_pm1()):
+                seq = sample_input(dist, max(n, m), m, seed=n)[:n + m - 1]
+                H = build_regressor(seq, n, m).entries
+                expected = scipy.linalg.hankel(seq[:n], seq[n - 1:])
+                assert H.shape == expected.shape == (n, m)
+                assert H.tobytes() == expected.tobytes()
+                assert H.flags.c_contiguous and not H.flags.writeable
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             build_regressor(np.zeros(7), 5, 2)

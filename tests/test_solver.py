@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from ladsysid import (DimensionError, InputDist, SingularSystemError,
 import ladsysid.harness
 import ladsysid.solver
 from ladsysid.harness import _draw_trial, config_from_dict
-from ladsysid.solver import _SOLVE_ERRSTATE, _certify_vertex, _leaving_index, _solve
+from ladsysid.solver import (_SOLVE_ERRSTATE, _certify_vertex, _initial_basis,
+                             _leaving_index, _solve)
 from oracles import highs_box_feasible, highs_lad_objective, vertex_check_lp_only
 
 
@@ -300,7 +302,8 @@ class TestLargeN:
 
     def test_consistency_gaussian_n30000(self):
         # frozen from the solver with a partition-selected ratio test prefix
-        # and one scipy.linalg.qr for the initial basis
+        # and one LAPACK geqp3 call (the pivoted QR of scipy.linalg.qr) for
+        # the initial basis
         H, x, e, w = _draw_trial(consistency_scenario("gaussian", 30000), derive_seed(0, 0, 0))
         y = H.entries @ x + e + w
         est = lad_estimate(H, y)
@@ -424,6 +427,59 @@ class TestSolvePath:
             assert est.x_hat.tobytes() == ref.x_hat.tobytes()
             assert est.iterations == ref.iterations
             assert est.status == ref.status
+
+
+class TestGeqp3Binding:
+    """``solver._geqp3`` is LAPACK dgeqp3 loaded from scipy's ``_flapack``
+    extension file: the same workspace query, R, tau and pivots as
+    ``scipy.linalg.lapack.dgeqp3``, and, when the file cannot be found, the
+    public import, which picks the same initial basis."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(13)
+        for n, m in ((40, 1), (60, 3), (90, 5), (200, 7)):
+            gauss = rng.standard_normal((n, m))
+            pm1 = rng.choice([-1.0, 1.0], size=(n, m))
+            deficient = gauss.copy()
+            deficient[:, -1] = 2.0 * deficient[:, 0] if m > 1 else 0.0
+            for A in (gauss, pm1, deficient):
+                yield A
+                yield np.asfortranarray(A)
+
+    def test_matches_scipy_dgeqp3(self):
+        from scipy.linalg.lapack import dgeqp3
+        for A in self.matrices():
+            ours = ladsysid.solver._geqp3(A.T, lwork=-1, overwrite_a=True)
+            theirs = dgeqp3(A.T, lwork=-1, overwrite_a=True)
+            assert ours[3].tobytes() == theirs[3].tobytes() and ours[4] == theirs[4] == 0
+            lwork = int(ours[3][0])
+            ours, theirs = ladsysid.solver._geqp3(A.T, lwork=lwork), dgeqp3(A.T, lwork=lwork)
+            for got, expected in zip(ours, theirs):
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_public_import_fallback_gives_same_basis(self, monkeypatch):
+        looked_up = []
+
+        def not_found(name):
+            looked_up.append(name)
+            return None
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(ladsysid.solver, "find_spec", not_found)
+        fallback = ladsysid.solver._load_geqp3()
+        assert looked_up == ["scipy"]
+        matrices = [A for A in self.matrices() if A.flags.c_contiguous]
+        bases = [self.basis_or_error(A) for A in matrices]
+        assert "singular" in bases
+        monkeypatch.setattr(ladsysid.solver, "_geqp3", fallback)
+        assert [self.basis_or_error(A) for A in matrices] == bases
+
+    @staticmethod
+    def basis_or_error(A):
+        try:
+            return _initial_basis(A).tolist()
+        except SingularSystemError:
+            return "singular"
 
 
 class TestVertexCertificate:
