@@ -14,8 +14,8 @@ from dataclasses import replace
 
 from . import __version__
 from .cert import certify_support_exact, certify_support_mc
-from .errors import (ConfigError, LadSysIdError, SingularSystemError, SpecError,
-                     SupportSizeError, ThresholdSearchError)
+from .errors import (ConfigError, DimensionError, LadSysIdError, SingularSystemError,
+                     SpecError, SupportSizeError, ThresholdSearchError)
 from .harness import load_config, run_experiment, scenario_table1, snr_db
 from .matgen import InputDist, build_regressor, sample_input
 from .solver import lad_estimate, ls_estimate
@@ -112,9 +112,7 @@ def _cmd_certify(args) -> int:
         support = [int(tok) for tok in args.support.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --support list: {exc}") from exc
-    dist = (InputDist.gaussian(args.sigma) if args.input == "gaussian"
-            else InputDist.bernoulli_pm1())
-    h = sample_input(dist, args.n, args.m, args.input_seed)
+    h = sample_input(InputDist(args.input, args.sigma), args.n, args.m, args.input_seed)
     H = build_regressor(h, args.n, args.m)
     if args.method == "exact":
         cert = certify_support_exact(H, support)
@@ -160,7 +158,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return _cmd_certify(args)
         return _cmd_threshold(args)
-    except (ConfigError, SupportSizeError, OSError) as exc:
+    except (ConfigError, SpecError, DimensionError, SupportSizeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SingularSystemError, ThresholdSearchError) as exc:

@@ -30,7 +30,7 @@ from .errors import ConfigError, LadSysIdError, SpecError
 from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec, _coerce,
                      build_regressor, derive_seed, rng_from_seed, sample_input,
                      sample_noise, sample_outliers)
-from .solver import Estimate, l2_norm, lad_estimate, ls_estimate
+from .solver import l2_norm, lad_estimate, ls_estimate
 
 __all__ = [
     "XSource",
@@ -161,26 +161,19 @@ def run_trial(s: Scenario, seed: int, trial_index: int = 0) -> TrialRecord:
         fn = _ESTIMATORS[name]
         t0 = time.perf_counter()
         try:
-            est: Estimate = fn(H, y)
-            wall = (time.perf_counter() - t0) * 1e3
-            runs.append(EstimatorRun(
-                estimator=name,
-                x_hat=est.x_hat,
-                error_l2=l2_norm(est.x_hat - x),
-                objective=est.objective,
-                status=est.status,
-                wall_ms=wall,
-            ))
+            est = fn(H, y)
+            x_hat, objective, status = est.x_hat, est.objective, est.status
         except (LadSysIdError, np.linalg.LinAlgError) as exc:
-            wall = (time.perf_counter() - t0) * 1e3
-            runs.append(EstimatorRun(
-                estimator=name,
-                x_hat=None,
-                error_l2=float("nan"),
-                objective=float("nan"),
-                status=f"error:{type(exc).__name__}",
-                wall_ms=wall,
-            ))
+            x_hat, objective, status = None, float("nan"), f"error:{type(exc).__name__}"
+        wall = (time.perf_counter() - t0) * 1e3
+        runs.append(EstimatorRun(
+            estimator=name,
+            x_hat=x_hat,
+            error_l2=float("nan") if x_hat is None else l2_norm(x_hat - x),
+            objective=objective,
+            status=status,
+            wall_ms=wall,
+        ))
     return TrialRecord(
         scenario_id=s.name, n=s.n, m=s.m, trial=trial_index, seed=seed,
         k=int(np.count_nonzero(e)), runs=runs,

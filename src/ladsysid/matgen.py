@@ -145,8 +145,8 @@ def build_regressor(h, n: int, m: int) -> RegressorMatrix:
         raise DimensionError(
             f"input sequence has length {values.shape}, expected {n + m - 1}"
         )
-    # C-ordered, like scipy.linalg.hankel(values[:n], values[n - 1:]): the
-    # memory order fixes the bits of every product with the matrix
+    # C-ordered, as a Hankel constructor lays it out: the memory order fixes
+    # the bits of every product with the matrix
     entries = np.lib.stride_tricks.sliding_window_view(values, m).copy()
     entries.flags.writeable = False
     return RegressorMatrix(entries=entries, n=int(n), m=int(m))

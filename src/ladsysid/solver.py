@@ -36,88 +36,33 @@ masked copy; the one product sigma * hd both selects the rows that cross zero
 (it equals |hd| exactly where the signs agree) and weights the line search;
 and the breakpoints come from one full-length divide.  The initial basis is one
 pivoted QR by LAPACK ``geqp3``, without forming Q, retried on power-of-two
-scaled columns only when its rank test fails; ``geqp3`` is bound from scipy's
-``_flapack`` extension file (``_load_geqp3``), so importing this module does
-not import scipy.  None of this changes a rounding: the estimates are bit for
-bit those of a full sort per pivot.
+scaled columns only when its rank test fails.  None of this changes a
+rounding: the estimates are bit for bit those of a full sort per pivot.
 
 Each pivot solves three m x m systems (the prices, the edge direction and the
-new vertex).  They go straight to the LAPACK gufunc behind ``np.linalg.solve``
-(numpy's private ``_umath_linalg.solve1``), which gives the same bits without
-the wrapper's per-call checks; the floating-point state that turns a singular
-basis into ``LinAlgError`` is entered once per ``lad_estimate`` call rather than
-once per system.  When numpy lacks that private gufunc the solves fall back to
-``np.linalg.solve``.  The zero tolerance is ``ZERO_TOL * max|y|`` with no floor
-at 1, so it shrinks with small data.  Both estimators raise ``DimensionError``
-on a NaN or an infinity in H or y, and on an objective beyond the float range;
-the least-squares norm is first recomputed scaled by max|r|, since its squares
-overflow long before the norm does (``l2_norm``, which the harness's error norm
-shares).  The vertex certificate scales each of its m rows by a power of two,
-which is exact, so its absolute tolerances hold every row to its own scale
-and LAD's verdicts do not change when columns of H are rescaled.
+new vertex) with ``_native.solve``, inside one ``SOLVE_ERRSTATE`` per
+``lad_estimate`` call rather than one per system.  The zero tolerance is
+``ZERO_TOL * max|y|`` with no floor at 1, so it shrinks with small data.  Both
+estimators raise ``DimensionError`` on a NaN or an infinity in H or y, and on
+an objective beyond the float range; the least-squares norm is first recomputed
+scaled by max|r|, since its squares overflow long before the norm does
+(``l2_norm``, which the harness's error norm shares).  The vertex certificate
+scales each of its m rows by a power of two, which is exact, so its absolute
+tolerances hold every row to its own scale and LAD's verdicts do not change
+when columns of H are rescaled.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import find_spec, module_from_spec, spec_from_loader
 
 import numpy as np
 
+from ._native import SOLVE_ERRSTATE, dgeqp3, solve
 from .errors import DimensionError, SingularSystemError
 from .lp import solve_lp
 from .matgen import RegressorMatrix
-
-try:
-    from numpy.linalg._umath_linalg import solve1 as _solve1
-except ImportError:  # private numpy module: ``_solve`` falls back to np.linalg.solve
-    _solve1 = None
-
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _load_geqp3():
-    """LAPACK dgeqp3 from scipy's ``_flapack`` extension, loaded from its file.
-
-    Importing ``scipy.linalg`` costs about 0.3 s (its array-API shim loads
-    ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``), more than the rest of
-    a sweep's start-up; the extension alone loads in about 10 ms and is
-    the very module ``scipy.linalg.lapack`` wraps, so its dgeqp3 is the same
-    function.  When the file cannot be found or loaded, the public import is
-    used.
-    """
-    module = sys.modules.get(_FLAPACK) or _flapack_from_file()
-    if module is None:
-        from scipy.linalg.lapack import dgeqp3
-        return dgeqp3
-    return module.dgeqp3
-
-
-def _flapack_from_file():
-    """scipy's ``_flapack`` module, loaded without running ``scipy/__init__``
-    or ``scipy/linalg/__init__`` and kept out of ``sys.modules`` (a later
-    ``import scipy.linalg`` gets the same functions from the interpreter's
-    cache of loaded extensions); None when no file is found or it fails to load."""
-    spec = find_spec("scipy")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
-            if os.path.isfile(path):
-                try:
-                    return module_from_spec(
-                        spec_from_loader(_FLAPACK, ExtensionFileLoader(_FLAPACK, path)))
-                except ImportError:
-                    return None
-                finally:
-                    sys.modules.pop(_FLAPACK, None)   # loading it put it there
-    return None
-
-
-_geqp3 = _load_geqp3()
 
 __all__ = ["Estimate", "lad_estimate", "ls_estimate"]
 
@@ -183,28 +128,6 @@ def l2_norm(v: np.ndarray) -> float:
     return norm
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-#: floating-point state for ``_solve``: the one np.linalg.solve enters per call,
-#: entered once per ``lad_estimate`` instead.  A singular system makes the
-#: gufunc return NaNs and raise the invalid flag, which then raises LinAlgError.
-_SOLVE_ERRSTATE = dict(call=_raise_singular, invalid="call",
-                       over="ignore", divide="ignore", under="ignore")
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for float64 a (m x m) and b (m,), bit for bit.
-
-    Runs the same LAPACK gufunc without the wrapper; a singular ``a`` raises
-    LinAlgError only inside ``np.errstate(**_SOLVE_ERRSTATE)``.
-    """
-    if _solve1 is None:
-        return np.linalg.solve(a, b)
-    return _solve1(a, b, signature="dd->d")
-
-
 def _unit_shift(size):
     """The power-of-two exponent that brings a positive ``size`` into [1, 2)
     (1 for a zero ``size``); np.ldexp by it is exact."""
@@ -215,8 +138,8 @@ def _independent_rows(A: np.ndarray):
     """m rows of A picked by geqp3 on its transpose, or None when the pivoted
     QR finds A rank deficient."""
     n, m = A.shape
-    lwork = int(_geqp3(A.T, lwork=-1, overwrite_a=True)[3][0])
-    qr, piv = _geqp3(A.T, lwork=lwork)[:2]
+    lwork = int(dgeqp3(A.T, lwork=-1, overwrite_a=True)[3][0])
+    qr, piv = dgeqp3(A.T, lwork=lwork)[:2]
     diag = np.abs(np.diag(qr))
     if diag[m - 1] <= max(n, m) * np.finfo(float).eps * max(diag[0], 1e-300):
         return None
@@ -226,14 +149,14 @@ def _independent_rows(A: np.ndarray):
 def _initial_basis(A: np.ndarray) -> np.ndarray:
     """m linearly independent rows found by pivoted QR of the transpose.
 
-    Calls LAPACK geqp3 directly, after the same workspace query that
-    ``scipy.linalg.qr(pivoting=True)`` makes, so the pivots and R agree with it
-    bit for bit; Q is never formed.  The query does not touch the matrix, so it
-    may run on A itself; the factorization runs on a copy.  The rank test is
-    relative to the largest column, so when it fails the QR is tried once more
-    with each column scaled by the power of two that brings its max into
-    [1, 2): that is exact and leaves every set of rows as independent as it
-    was, and an input the first test passes never reaches it.
+    Calls LAPACK geqp3 directly, after the same workspace query that the public
+    pivoted QR, ``linalg.qr(pivoting=True)``, makes, so the pivots and R agree
+    with it bit for bit; Q is never formed.  The query does not touch the
+    matrix, so it may run on A itself; the factorization runs on a copy.  The
+    rank test is relative to the largest column, so when it fails the QR is
+    tried once more with each column scaled by the power of two that brings its
+    max into [1, 2): that is exact and leaves every set of rows as independent
+    as it was, and an input the first test passes never reaches it.
     """
     rows = _independent_rows(A)
     if rows is None:
@@ -310,7 +233,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
     u * tiny per product (additions of subnormals are exact); the residual's
     such errors are weighted by |v_j|, so (m + 2)(p + 2) tiny (1 + ||v||_1)
     covers them.  An overflow makes the bound infinite, so it never
-    separates, and a NaN raises LinAlgError inside ``_SOLVE_ERRSTATE``; both
+    separates, and a NaN raises LinAlgError inside ``SOLVE_ERRSTATE``; both
     go to the LP.
     """
     At = A.take(zero_mask.nonzero()[0], axis=0).T  # m x p
@@ -324,9 +247,9 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
         target = np.ldexp(target, shift)
     m, p = At.shape
     scale = float(np.abs(target).max()) or 1.0
-    with np.errstate(**_SOLVE_ERRSTATE):
+    with np.errstate(**SOLVE_ERRSTATE):
         try:
-            v = _solve(At @ At.T, target)
+            v = solve(At @ At.T, target)
             w = At.T @ v
             if _accepted(At, target, w, scale, box=1.0):
                 return True
@@ -428,9 +351,9 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
 
     # H and y are finite, so only a singular solve can raise the invalid flag
     # inside this block, and it turns into LinAlgError as in np.linalg.solve
-    with np.errstate(**_SOLVE_ERRSTATE):
+    with np.errstate(**SOLVE_ERRSTATE):
         AB = A[basis]
-        x = _solve(AB, y[basis])
+        x = solve(AB, y[basis])
         # per-row buffers, reused by every pivot
         r, hd, prod, quot = np.empty((4, n))
         cand, zero_off = np.empty((2, n), dtype=bool)
@@ -451,7 +374,7 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
         while it < max_iter:
             it += 1
             g = A.T @ sigma
-            lam = _solve(AB.T, g)
+            lam = solve(AB.T, g)
             viol = np.abs(lam) - 1.0
 
             if bland:
@@ -480,7 +403,7 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
 
             e_p = np.zeros(m)
             e_p[p] = s
-            d = _solve(AB, e_p)
+            d = solve(AB, e_p)
             np.matmul(A, d, out=hd)
             hd[basis] = 0.0
 
@@ -508,7 +431,7 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
             basis.sort()
             sigma[b_row] = -s
             AB = A[basis]
-            x = _solve(AB, y[basis])
+            x = solve(AB, y[basis])
             np.subtract(y, np.matmul(A, x, out=r), out=r)
             np.less_equal(np.abs(r, out=quot), ztol, out=zero_off)
             zero_off[basis] = False

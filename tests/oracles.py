@@ -11,6 +11,16 @@ from ladsysid import InputDist, build_regressor, lad_estimate, sample_input
 from ladsysid.lp import solve_lp
 
 
+#: a noiseless +-1 PRBS scenario whose optima are degenerate vertices
+NOISELESS_PM1 = {
+    "name": "noiseless_pm1", "m": 5, "input": {"kind": "bernoulli_pm1"},
+    "x_source": {"kind": "gaussian_random"}, "noise": {"kind": "none"},
+    "outliers": {"count_model": "uniform_fraction", "max_fraction": 0.8,
+                 "mean": 0.0, "sd": 10.0},
+    "estimators": ["lad", "ls"],
+}
+
+
 def gauss_toeplitz(n, m, seed, sigma=1.0):
     return build_regressor(sample_input(InputDist.gaussian(sigma), n, m, seed), n, m)
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ladsysid
 import ladsysid.cert
 from ladsysid import balance_gap
@@ -86,6 +88,19 @@ class TestCertify:
     def test_malformed_support_list(self, capsys):
         rc = main(["certify", "--n", "10", "--m", "2", "--support", "0,x"])
         assert rc == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "12", "--m", "2", "--support", "0,5", "--sigma", "-1"],
+        ["--n", "12", "--m", "2", "--support", "0,40"],
+        ["--n", "1", "--m", "2", "--support", "0"],
+        ["--n", "12", "--m", "2", "--support", "0,5", "--method", "mc", "--trials", "0"],
+        ["--n", "12", "--m", "2", "--support", "0,5", "--input", "bernoulli_pm1",
+         "--sigma", "5"],
+    ], ids=["negative-sigma", "support-out-of-range", "n-below-m", "zero-trials",
+            "sigma-on-pm1-input"])
+    def test_bad_arguments_are_config_errors(self, argv, capsys):
+        assert main(["certify", *argv]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_patterns_gap_does_not_depend_on_input_scale(self, capsys):
         # 4 sign patterns against C(197, 2) vertices: the pattern LPs run, on
@@ -233,18 +248,24 @@ class TestExperiment:
 
 
 class TestColdStart:
-    """A sweep never imports scipy: ``solver`` loads LAPACK geqp3 from scipy's
-    extension file and ``threshold`` imports erfc on first use, so a fresh
-    ``ladsysid experiment`` process skips scipy's start-up."""
+    """No subcommand imports a scipy module: ``_native`` loads LAPACK geqp3 and
+    erfc from scipy's extension files, so a fresh ``ladsysid`` process skips
+    scipy's start-up."""
 
     SCRIPT = """
 import sys
 from ladsysid.cli import main
 for config in sys.argv[1:]:
     assert main(["experiment", "--config", config, "--out", config + ".csv"]) == 0
+certify = ["certify", "--n", "200", "--m", "3", "--support"]
+for argv in (["threshold", "--m-max", "2"],
+             ["certify", "--n", "12", "--m", "2", "--support", "0,5"],
+             certify + ["0,1,2"],
+             certify + ["0,1,2", "--method", "mc", "--trials", "500"],
+             ["table1"]):
+    assert main(argv) == 0, argv
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 assert not loaded, loaded
-assert main(["threshold", "--m-max", "2"]) == 0
 """
 
     def test_sweep_imports_no_scipy(self, tmp_path):
@@ -265,3 +286,6 @@ assert main(["threshold", "--m-max", "2"]) == 0
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "m=  2  beta_star=0.026031" in proc.stdout
+        for method in ("vertices", "patterns", "mc"):
+            assert f"method: {method} (" in proc.stdout
+        assert "LAD with the z=10 outlier:" in proc.stdout

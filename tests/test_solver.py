@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import itertools
-import sys
 import warnings
 
 import numpy as np
@@ -14,9 +13,9 @@ from ladsysid import (DimensionError, InputDist, SingularSystemError,
 import ladsysid.harness
 import ladsysid.solver
 from ladsysid.harness import _draw_trial, config_from_dict
-from ladsysid.solver import (_SOLVE_ERRSTATE, _certify_vertex, _initial_basis,
-                             _leaving_index, _solve)
-from oracles import highs_box_feasible, highs_lad_objective, vertex_check_lp_only
+from ladsysid.solver import _certify_vertex, _leaving_index
+from oracles import (NOISELESS_PM1, highs_box_feasible, highs_lad_objective,
+                     vertex_check_lp_only)
 
 
 def lad_bruteforce_objective(H, y):
@@ -314,15 +313,6 @@ class TestLargeN:
                 == "87bdd6c12ea82e1ad536982c5135d3274ff146ace076d515455a2bb54ffaea0a")
 
 
-NOISELESS_PM1 = {
-    "name": "noiseless_pm1", "m": 5, "input": {"kind": "bernoulli_pm1"},
-    "x_source": {"kind": "gaussian_random"}, "noise": {"kind": "none"},
-    "outliers": {"count_model": "uniform_fraction", "max_fraction": 0.8,
-                 "mean": 0.0, "sd": 10.0},
-    "estimators": ["lad", "ls"],
-}
-
-
 class TestNoiselessSweepGolden:
     """A tiny noiseless +-1 sweep (m=5, n 40 and 100, 5 trials each, seed 1):
     its degenerate optima go through the vertex certificate.  The trial-CSV
@@ -358,128 +348,6 @@ class TestNoiselessSweepGolden:
         assert hashlib.sha256(text.encode()).hexdigest() == self.CSV_SHA256
         assert iterations == self.ITERATIONS
         assert (len(verdicts), sum(verdicts)) == self.VERTEX_CHECKS
-
-
-class TestSolvePath:
-    """``_solve`` runs np.linalg.solve's own gufunc; it must agree bit for bit,
-    raise LinAlgError on a singular system, and the public-wrapper fallback
-    must give the same estimates."""
-
-    @staticmethod
-    def systems(rng):
-        for m in range(1, 11):
-            for kind in ("gaussian", "pm1", "int"):
-                for _ in range(30):
-                    if kind == "gaussian":
-                        a = rng.standard_normal((m, m))
-                    elif kind == "pm1":
-                        a = rng.choice([-1.0, 1.0], size=(m, m))
-                    else:
-                        a = rng.integers(-3, 4, size=(m, m)).astype(float)
-                    yield a, rng.standard_normal(m)
-
-    def test_matches_numpy_bit_for_bit(self):
-        rng = np.random.default_rng(21)
-        solved = singular = 0
-        with np.errstate(**_SOLVE_ERRSTATE):
-            for a, b in self.systems(rng):
-                for mat in (a, a.T):
-                    try:
-                        expected = np.linalg.solve(mat, b)
-                    except np.linalg.LinAlgError:
-                        singular += 1
-                        with pytest.raises(np.linalg.LinAlgError):
-                            _solve(mat, b)
-                        continue
-                    got = _solve(mat, b)
-                    assert got.dtype == expected.dtype and got.shape == expected.shape
-                    assert got.tobytes() == expected.tobytes()
-                    solved += 1
-        assert solved > 1000 and singular > 0
-
-    def test_exactly_singular_raises(self):
-        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
-        with np.errstate(**_SOLVE_ERRSTATE):
-            for mat in (a, a.T):
-                with pytest.raises(np.linalg.LinAlgError):
-                    _solve(mat, np.ones(3))
-
-    def test_public_solve_fallback_gives_same_estimates(self, monkeypatch):
-        scen = config_from_dict({"scenario": NOISELESS_PM1, "n_grid": [100]}).scenarios[0]
-        cases = [_draw_trial(scen, derive_seed(1, 1, t)) for t in range(5)]
-        cases.append(_draw_trial(consistency_scenario("gaussian", 300), derive_seed(0, 0, 0)))
-        problems = [(H, H.entries @ x + e + w) for H, x, e, w in cases]
-        fast = [lad_estimate(H, y) for H, y in problems]
-
-        calls = []
-        public = np.linalg.solve
-
-        def counted(a, b):
-            calls.append(1)
-            return public(a, b)
-        monkeypatch.setattr(ladsysid.solver, "_solve1", None)
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        for (H, y), ref in zip(problems, fast):
-            before = len(calls)
-            est = lad_estimate(H, y)
-            # lam at every pivot, d and x at every pivot that moves, x at the start
-            assert len(calls) - before >= 2 * ref.iterations
-            assert est.x_hat.tobytes() == ref.x_hat.tobytes()
-            assert est.iterations == ref.iterations
-            assert est.status == ref.status
-
-
-class TestGeqp3Binding:
-    """``solver._geqp3`` is LAPACK dgeqp3 loaded from scipy's ``_flapack``
-    extension file: the same workspace query, R, tau and pivots as
-    ``scipy.linalg.lapack.dgeqp3``, and, when the file cannot be found, the
-    public import, which picks the same initial basis."""
-
-    @staticmethod
-    def matrices():
-        rng = np.random.default_rng(13)
-        for n, m in ((40, 1), (60, 3), (90, 5), (200, 7)):
-            gauss = rng.standard_normal((n, m))
-            pm1 = rng.choice([-1.0, 1.0], size=(n, m))
-            deficient = gauss.copy()
-            deficient[:, -1] = 2.0 * deficient[:, 0] if m > 1 else 0.0
-            for A in (gauss, pm1, deficient):
-                yield A
-                yield np.asfortranarray(A)
-
-    def test_matches_scipy_dgeqp3(self):
-        from scipy.linalg.lapack import dgeqp3
-        for A in self.matrices():
-            ours = ladsysid.solver._geqp3(A.T, lwork=-1, overwrite_a=True)
-            theirs = dgeqp3(A.T, lwork=-1, overwrite_a=True)
-            assert ours[3].tobytes() == theirs[3].tobytes() and ours[4] == theirs[4] == 0
-            lwork = int(ours[3][0])
-            ours, theirs = ladsysid.solver._geqp3(A.T, lwork=lwork), dgeqp3(A.T, lwork=lwork)
-            for got, expected in zip(ours, theirs):
-                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
-
-    def test_public_import_fallback_gives_same_basis(self, monkeypatch):
-        looked_up = []
-
-        def not_found(name):
-            looked_up.append(name)
-            return None
-        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-        monkeypatch.setattr(ladsysid.solver, "find_spec", not_found)
-        fallback = ladsysid.solver._load_geqp3()
-        assert looked_up == ["scipy"]
-        matrices = [A for A in self.matrices() if A.flags.c_contiguous]
-        bases = [self.basis_or_error(A) for A in matrices]
-        assert "singular" in bases
-        monkeypatch.setattr(ladsysid.solver, "_geqp3", fallback)
-        assert [self.basis_or_error(A) for A in matrices] == bases
-
-    @staticmethod
-    def basis_or_error(A):
-        try:
-            return _initial_basis(A).tolist()
-        except SingularSystemError:
-            return "singular"
 
 
 class TestVertexCertificate:
