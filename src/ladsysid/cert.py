@@ -9,10 +9,11 @@ methods, whichever the sizes make cheaper:
 - vertex enumeration: a convex function peaks at a vertex of P, and every
   vertex is a null vector of m-1 rows of H_Kbar, so C(n-|K|, m-1) candidate
   directions are scored in batches;
-- one dual LP per sign pattern sigma of (Hz) on K (2^(|K|-1) after the
-  z -> -z symmetry): max sigma'(Hz)_K over P equals 1/s* for
-  max s s.t. H_Kbar' v = s H_K' sigma, |v| <= 1, a finite-box LP with m
-  equality rows whose row multipliers are the maximizing direction.
+- one l1 regression per sign pattern sigma of (Hz) on K (2^(|K|-1) after
+  the z -> -z symmetry): max sigma'(Hz)_K over P is
+  1 / min{||H_Kbar z||_1 : (H_K' sigma)'z = 1}, and eliminating one
+  coordinate of z through the constraint makes that minimum a LAD fit
+  with m - 1 unknowns, which ``lad_estimate`` solves.
 
 ``certify_support_mc`` is the randomized falsifier for supports too large to
 enumerate, and the remaining functions evaluate the concentration and
@@ -30,7 +31,8 @@ import numpy as np
 
 from .errors import (DimensionError, LadSysIdError, SingularSystemError,
                      SupportSizeError)
-from .lp import solve_lp
+# not called here: perfbench's tracer wraps the name cert.solve_lp, so it stays
+from .lp import solve_lp  # noqa: F401
 from .matgen import (InputDist, Magnitude, build_regressor, derive_seed,
                      rng_from_seed, sample_input)
 from .solver import _as_matrix, _unit_shift, lad_estimate
@@ -49,12 +51,12 @@ __all__ = [
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
-#: Vertices scored for the cost of one dual LP: the exact certifier enumerates
-#: vertices when C(n-|K|, m-1) <= _VERTEX_PER_LP * 2^(|K|-1).  Measured at
-#: 3-9 us per vertex against 1.5-39 ms per sign-pattern LP (n = 30..500,
-#: m = 2..5, one BLAS thread), a ratio of 460-1900.
+#: Vertices scored for the cost of one sign-pattern solve: the exact certifier
+#: enumerates vertices when C(n-|K|, m-1) <= _VERTEX_PER_LP * 2^(|K|-1).
+#: Measured at 3-9 us per vertex against 0.2-1.1 ms per sign-pattern LAD
+#: solve (n = 30..500, m = 2..5, one BLAS thread), a ratio of 20-350.
 _VERTEX_PER_LP = 1000
-#: Largest |K| for the sign-pattern route (2^19 LPs); the vertex route has no cap
+#: Largest |K| for the sign-pattern route (2^19 solves); the vertex route has no cap
 _PATTERN_CAP = 20
 _MARGIN = 1e-8          # the least worst_gap that certifies a support
 _RECOVERY_TOL = 1e-6    # empirical_recovery_rate's relative error bound
@@ -70,8 +72,8 @@ class SupportCert:
     """Certification outcome for one outlier support.
 
     ``method`` names how it was reached (vertices | patterns | mc) and
-    ``work`` counts the vertices scored, the LPs solved or the directions
-    sampled; 0 when the support was decided before any of them.
+    ``work`` counts the vertices scored, the sign patterns solved or the
+    directions sampled; 0 when the support was decided before any of them.
     """
 
     support: tuple
@@ -120,14 +122,14 @@ def certify_support_exact(H, K) -> SupportCert:
     certified only when it exceeds ``_MARGIN``.  The maximum comes from
     enumerating the C(n-|K|, m-1) vertices of that polytope when there are
     at most ``_VERTEX_PER_LP`` per sign pattern, and otherwise from one
-    m-row dual LP per sign pattern of (Hz) on K (2^(|K|-1) of them); the
+    LAD solve per sign pattern of (Hz) on K (2^(|K|-1) of them); the
     latter is refused with SupportSizeError when |K| > ``_PATTERN_CAP``.  A
     rank-deficient H_Kbar (as when K holds every row) is falsified with gap
     -inf.  A falsified verdict carries a unit witness z whose balance gap
-    is at most ``_MARGIN`` * ||(Hz)_Kbar||_1.  The pattern LPs' tolerances
-    are absolute, so H is first scaled, exactly, by the power of two that
-    brings max|H| into [1, 2); the ratio does not change.  A pattern LP that
-    ends other than optimal is a LadSysIdError.
+    is at most ``_MARGIN`` * ||(Hz)_Kbar||_1.  H is first scaled, exactly,
+    by the power of two that brings max|H| into [1, 2), so no route's
+    tolerance depends on the scale of H; the ratio does not change.  A
+    pattern solve that ends other than optimal is a LadSysIdError.
     """
     A = _as_matrix(H)
     n, m = A.shape
@@ -218,46 +220,56 @@ def _vertex_max(A, idx, cidx):
     return best, best_z
 
 
-def _pattern_max(A, idx, cidx):
-    """Largest ratio over the sign patterns of (Hz)_K, one dual LP each.
+def _collapsed_rows(h):
+    """The nonzero rows of h that differ up to sign, each times its
+    multiplicity: ||h z||_1 is their l1 sum for every z, as c |r'z| = |c r'z|."""
+    h = h[h.any(axis=1)]
+    lead = h[np.arange(h.shape[0]), (h != 0.0).argmax(axis=1)]
+    rows, counts = np.unique(h * np.sign(lead)[:, None], axis=0, return_counts=True)
+    return rows * counts[:, None]
 
-    Pattern sigma solves max s s.t. H_Kbar' v = s H_K' sigma, |v| <= 1,
-    0 <= s <= 2R / ||H_K' sigma||_inf, R the largest column l1 norm of
-    H_Kbar.  Every feasible s has s ||H_K' sigma||_inf <= R, so that upper
-    bound never binds; it only makes the LP a finite box.  The LP runs in
-    t = s ||H_K' sigma||_inf, whose column H_K' sigma / ||H_K' sigma||_inf
-    has largest entry 1 and whose bound is 2R, so a tiny H_K' sigma (rows
-    of H_K near zero, or sigma'H_K cancelling to rounding) neither leaves
-    the kernel an entering column below its pivot threshold nor overflows
-    the bound.  A pattern with H_K' sigma = 0 is skipped before solving:
-    its ratio is 0.  The row multipliers are a direction attaining
-    sigma'(Hz)_K = ||H_K' sigma||_inf / t* on ||(Hz)_Kbar||_1 <= 1, and the
-    ratio is recomputed from that direction.  Returns the ratio and its
-    direction.
+
+def _pattern_max(A, idx, cidx):
+    """Largest ratio over the sign patterns of (Hz)_K, one l1 regression each.
+
+    For pattern sigma, max sigma'(Hz)_K over ||(Hz)_Kbar||_1 <= 1 is
+    1 / min{||H_Kbar z||_1 : g'z = 1}, g = H_K' sigma.  With j the first
+    argmax of |g| and g divided by |g_j|, so that g_j = s = +-1 exactly, the
+    constraint fixes z_j = s (1 - g_r'z_r) over the other coordinates r, and
+    the minimum is the LAD fit of -s H_Kbar[:, j] by
+    B = H_Kbar[:, r] - s H_Kbar[:, j] g_r', which has full column rank
+    whenever H_Kbar has; for m = 1, z = (s).  A pattern with g = 0 is skipped
+    before solving: its ratio is 0.  Rows of H_Kbar equal up to sign are
+    first collapsed into one row times their count, which is exact and
+    spares LAD the degenerate pivots of repeated rows (a +-1 Toeplitz H with
+    m = 5 has at most 16 rows up to sign).  The ratio is recomputed from
+    each z.
+    Returns the ratio and its direction.
     """
     n, m = A.shape
-    hc, hk = A[cidx], A[idx]
-    nc = cidx.size
-    reach = float(np.abs(hc).sum(axis=0).max())
+    hk, hc = A[idx], _collapsed_rows(A[cidx])
     buf = np.empty((1, n))
-    cost = np.zeros(nc + 1)
-    cost[-1] = -1.0
-    lo, hi = np.full(nc + 1, -1.0), np.ones(nc + 1)
-    lo[-1], hi[-1] = 0.0, 2.0 * reach
     best, best_z = 0.0, None       # the ratio is never negative
     for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
-        sigma = np.array((1.0,) + tail)
-        g = sigma @ hk
-        norm = np.abs(g).max()
-        if not norm > 0.0:
+        g = np.array((1.0,) + tail) @ hk
+        j = int(np.abs(g).argmax())
+        if g[j] == 0.0:
             continue               # H_K' sigma = 0: ratio 0
-        res = solve_lp(cost, np.column_stack([hc.T, -g / norm]), np.zeros(m), lo, hi)
-        if res.status != "optimal":
-            raise LadSysIdError(f"certification LP ended with status {res.status}")
-        on, off = _abs_sums(res.y[None, :], A, buf, idx, cidx)
+        g /= abs(g[j])
+        s = g[j]
+        z = np.full(m, s)
+        if m > 1:
+            rest = np.arange(m) != j
+            hj = hc[:, j]
+            est = lad_estimate(hc[:, rest] - s * np.outer(hj, g[rest]), -s * hj)
+            if est.status != "optimal":
+                raise LadSysIdError(f"sign-pattern LAD solve ended with status {est.status}")
+            z[rest] = est.x_hat
+            z[j] = s * (1.0 - g[rest] @ est.x_hat)
+        on, off = _abs_sums(z[None, :], A, buf, idx, cidx)
         r = float(on[0] / off[0])
         if r > best:
-            best, best_z = r, res.y
+            best, best_z = r, z
     return best, best_z
 
 

@@ -202,6 +202,8 @@ class ExperimentConfig:
             raise ConfigError("the scenarios' n must be strictly increasing")
         if self.trials_per_point < 1:
             raise ConfigError("trials_per_point must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)

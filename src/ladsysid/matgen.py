@@ -34,20 +34,33 @@ __all__ = [
 ]
 
 
+def _seed(seed) -> int:
+    """``seed`` as an int; SpecError when it is negative, which numpy's
+    SeedSequence would refuse with a bare ValueError."""
+    seed = int(seed)
+    if seed < 0:
+        raise SpecError(f"a seed must be >= 0, got {seed}")
+    return seed
+
+
 def derive_seed(seed: int, *tags: int) -> int:
     """Mix integer tags into ``seed`` and return a fresh 64-bit sub-seed."""
-    ss = np.random.SeedSequence([int(seed), *[int(t) for t in tags]])
+    ss = np.random.SeedSequence([_seed(seed), *[int(t) for t in tags]])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """PCG64 generator initialized from one integer seed."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+    return np.random.default_rng(np.random.SeedSequence(_seed(seed)))
 
 
 def _coerce(spec, floats=(), ints=()) -> None:
     """Set the named fields of a frozen spec to float, or to int from an
-    integral number (3 and 3.0 give 3; 3.5 is a SpecError)."""
+    integral number (3 and 3.0 give 3; 3.5 is a SpecError).  A bool, as JSON's
+    true, is a SpecError rather than 1."""
+    for name in (*floats, *ints):
+        if isinstance(getattr(spec, name), bool):
+            raise SpecError(f"{name} must be a number, got {getattr(spec, name)!r}")
     for name in floats:
         object.__setattr__(spec, name, float(getattr(spec, name)))
     for name in ints:

@@ -22,11 +22,10 @@ decides nearly every check: the least-norm w = A_Z v answers yes when it
 lies in the box, and v answers no, as a Farkas vector, when -grad.v exceeds
 ||A_Z v||_1 by more than the acceptance tolerances and a rounding term
 allow.  Only the rest (about 2% of the checks in noiseless +-1 sweeps) go
-to the box-feasibility LP, with m equality rows, zero cost and the bounds
-|w| <= 1, which ``solve_lp`` answers by phase 1 alone.  A no is provably
-the LP route's answer, and a yes needs w inside the box itself, with none of
-the LP route's allowance, so the verdicts are those of the LP alone wherever
-the LP finds a feasible point.
+to the box-feasibility LP ``solve_lp``, with m equality rows and the bounds
+|w| <= 1.  A no is provably the LP route's answer, and a yes needs w inside
+the box itself, with none of the LP route's allowance, so the verdicts are
+those of the LP alone wherever the LP finds a feasible point.
 
 At large n a pivot is a few passes over the rows besides its three n x m
 products (the prices ``A.T @ sigma``, the edge ``A @ d`` and the residuals
@@ -211,10 +210,9 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
       a Farkas vector.  This holds for any v, however inaccurately it was
       solved.  In exact arithmetic the two sides are ||w||_2^2 and ||w||_1.
     - Fallback.  Otherwise, and when the Gram matrix is singular, the
-      box-feasibility LP (m equality rows, zero cost, |w| <= 1) decides.
-      ``solve_lp`` answers it by phase 1 alone, and its point must pass
-      ``_accepted``, so the decision does not lean on the LP's internal
-      tolerances.
+      box-feasibility LP ``solve_lp`` (m equality rows, |w| <= 1) decides,
+      and its point must pass ``_accepted``, so the decision does not lean
+      on the LP's internal tolerances.
 
     The rounding term.  Let u = eps/2, g_k = k u / (1 - k u), r_j = ||At_j||_1
     and S = sum_j |v_j| (r_j + |target_j|); these bounds hold for any order
@@ -263,7 +261,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
                 return False
         except np.linalg.LinAlgError:
             pass    # a singular Gram matrix, or NaNs from a nearly singular one
-    res = solve_lp(np.zeros(p), At, target, np.full(p, -1.0), np.ones(p))
+    res = solve_lp(At, target, np.full(p, -1.0), np.ones(p))
     return res.status == "optimal" and _accepted(At, target, res.x, scale)
 
 

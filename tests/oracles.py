@@ -150,7 +150,7 @@ def vertex_check_lp_only(A, zero_mask, grad_nz):
     At = np.ldexp(At, shift[:, None])
     target = np.ldexp(target, shift)
     p = At.shape[1]
-    res = solve_lp(np.zeros(p), At, target, np.full(p, -1.0), np.ones(p))
+    res = solve_lp(At, target, np.full(p, -1.0), np.ones(p))
     if res.status != "optimal":
         return False
     w = res.x

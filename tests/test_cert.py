@@ -7,9 +7,8 @@ from ladsysid import (DimensionError, InputDist, LadSysIdError, Magnitude,
                       balance_gap, build_regressor, certify_support_exact,
                       certify_support_mc, concentration_diagnostic,
                       empirical_recovery_rate, expected_gain, sample_input)
-from ladsysid.lp import LpResult
 from ladsysid.matgen import rng_from_seed
-from ladsysid.solver import _as_matrix
+from ladsysid.solver import Estimate, _as_matrix
 from oracles import (direction_grid_min_gap, gain_quadrature, gauss_toeplitz,
                      highs_pattern_best, recovery_probe,
                      witness_attack_defeats_lad)
@@ -197,33 +196,12 @@ class TestExactMethods:
                 assert balance_gap(H, K, cert.witness) <= 0.0, (i, K)
         assert seen["certified"] > 5 and seen["falsified"] > 5
 
-    def test_pattern_s_bound_never_binds(self, monkeypatch):
-        # every pattern LP's optimal t = s ||H_K' sigma||_inf stays at or below
-        # R, half its upper bound 2R, on the instances above and n=60, m=5,
-        # K={3,20,41}
-        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
-        solved = []
-        inner = ladsysid.cert.solve_lp
-
-        def recorded(c, a, b, lo, hi):
-            res = inner(c, a, b, lo, hi)
-            solved.append((float(hi[-1]), float(res.x[-1])))
-            return res
-        monkeypatch.setattr(ladsysid.cert, "solve_lp", recorded)
-        cases = [(H, K) for _, H, K in self.instances()]
-        cases.append((gauss_toeplitz(60, 5, seed=7), [3, 20, 41]))
-        for H, K in cases:
-            certify_support_exact(H, K)
-        assert len(solved) == 365
-        for cap, s in solved:
-            assert 0.0 < s <= 0.5 * cap * (1.0 + 1e-9)
-
     @pytest.mark.parametrize("per_lp", [np.inf, 0])
     def test_zero_rows_on_support_certified(self, monkeypatch, per_lp):
         # (Hz)_K = 0 for every z: H_K' sigma = 0, so each sign pattern is
-        # skipped before any LP is built
+        # skipped before any LAD solve
         monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", per_lp)
-        monkeypatch.setattr(ladsysid.cert, "solve_lp", None)
+        monkeypatch.setattr(ladsysid.cert, "lad_estimate", None)
         H = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
         cert = certify_support_exact(H, [0, 4])
         assert cert.verdict == "certified"
@@ -260,6 +238,36 @@ class TestExactMethods:
         H[12] = H[4] + H[20]
         self.patterns_match_vertices(monkeypatch, H, [4, 12, 20])
 
+    def test_repeated_pm1_rows_take_few_pivots(self, monkeypatch):
+        # a +-1 Toeplitz H with m = 5 has at most 16 rows up to sign;
+        # collapsed, each pattern's LAD solve walks a handful of pivots
+        # where the 194 rows as they stand take up to 492
+        pivots = []
+        inner = ladsysid.cert.lad_estimate
+
+        def counted(B, y):
+            est = inner(B, y)
+            pivots.append(est.iterations)
+            return est
+        monkeypatch.setattr(ladsysid.cert, "lad_estimate", counted)
+        n, m, K = 200, 5, list(range(6))
+        H = build_regressor(sample_input(InputDist.bernoulli_pm1(), n, m, 4), n, m)
+        cert = certify_support_exact(H, K)
+        assert (cert.method, cert.work) == ("patterns", 32)
+        assert cert.worst_gap == pytest.approx(1.0 - highs_pattern_best(H, K), abs=1e-9)
+        assert len(pivots) == 32 and max(pivots) <= 50
+
+    def test_mirrored_complement_halves_the_ratio(self, monkeypatch):
+        # appending -H_Kbar doubles ||(Hz)_Kbar||_1 for every z and leaves
+        # (Hz)_K alone, so 1 - worst_gap, the largest ratio, halves
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
+        for i, H, K in self.instances():
+            A = H.entries
+            mirrored = np.vstack([A, -np.delete(A, K, axis=0)])
+            best = 1.0 - certify_support_exact(A, K).worst_gap
+            half = 1.0 - certify_support_exact(mirrored, K).worst_gap
+            assert half == pytest.approx(best / 2.0, abs=1e-15), (i, K)
+
     @pytest.mark.parametrize("K", [[0, 2, 3, 5], list(range(6))])
     def test_rank_deficient_complement_falsified(self, K):
         # fewer than m rows outside K: some z has (Hz)_Kbar = 0
@@ -288,9 +296,9 @@ class TestExactMethods:
 
     def test_pattern_lp_failure_is_typed(self, monkeypatch):
         monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
-        monkeypatch.setattr(ladsysid.cert, "solve_lp",
-                            lambda *args: LpResult(status="inaccurate"))
-        with pytest.raises(LadSysIdError, match="inaccurate"):
+        monkeypatch.setattr(ladsysid.cert, "lad_estimate",
+                            lambda B, y: Estimate(None, 0.0, y, "iteration_limit", "lad"))
+        with pytest.raises(LadSysIdError, match="iteration_limit"):
             certify_support_exact(gauss_toeplitz(60, 5, seed=7), [3, 20, 41])
 
 

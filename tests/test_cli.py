@@ -10,7 +10,7 @@ import ladsysid
 import ladsysid.cert
 from ladsysid import balance_gap
 from ladsysid.cli import main
-from ladsysid.lp import LpResult
+from ladsysid.solver import Estimate
 from oracles import gauss_toeplitz
 
 
@@ -96,8 +96,10 @@ class TestCertify:
         ["--n", "12", "--m", "2", "--support", "0,5", "--method", "mc", "--trials", "0"],
         ["--n", "12", "--m", "2", "--support", "0,5", "--input", "bernoulli_pm1",
          "--sigma", "5"],
+        ["--n", "12", "--m", "2", "--support", "0,5", "--input-seed", "-1"],
+        ["--n", "12", "--m", "2", "--support", "0,5", "--method", "mc", "--seed", "-3"],
     ], ids=["negative-sigma", "support-out-of-range", "n-below-m", "zero-trials",
-            "sigma-on-pm1-input"])
+            "sigma-on-pm1-input", "negative-input-seed", "negative-mc-seed"])
     def test_bad_arguments_are_config_errors(self, argv, capsys):
         assert main(["certify", *argv]) == 1
         assert capsys.readouterr().err.startswith("config error:")
@@ -115,11 +117,12 @@ class TestCertify:
         assert len(gaps) == 1
 
     def test_pattern_lp_failure_exits_with_solver_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(ladsysid.cert, "solve_lp",
-                            lambda *args: LpResult(status="inaccurate"))
+        monkeypatch.setattr(ladsysid.cert, "lad_estimate",
+                            lambda B, y: Estimate(None, 0.0, y, "iteration_limit", "lad"))
         rc = main(["certify", "--n", "200", "--m", "3", "--support", "0,1,2"])
         assert rc == 2
-        assert "certification LP ended with status inaccurate" in capsys.readouterr().err
+        assert ("sign-pattern LAD solve ended with status iteration_limit"
+                in capsys.readouterr().err)
 
     def test_bernoulli_input(self, capsys):
         rc = main(["certify", "--n", "14", "--m", "1", "--support", "2",
@@ -237,6 +240,25 @@ class TestExperiment:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": {"m": 2}, "n_grid": [10]}))
         assert main(["experiment", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("config,argv", [
+        ({}, ["--seed", "-1"]),
+        ({"master_seed": -1}, []),
+        ({"trials_per_point": True}, []),
+        ({"scenario": {"m": 2, "input": {"kind": "gaussian", "sigma": True},
+                       "outliers": {"count_model": "fixed", "k": 1}}}, []),
+        ({"scenario": {"m": 2, "input": {"kind": "gaussian"},
+                       "outliers": {"count_model": "fixed", "k": True}}}, []),
+    ], ids=["negative-seed-flag", "negative-master-seed", "boolean-trials",
+            "boolean-sigma", "boolean-k"])
+    def test_bad_value_is_config_error_before_any_csv(self, tmp_path, capsys, config, argv):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "trials.csv"
+        base = {"builtin": "fir"} if "scenario" not in config else {}
+        cfg.write_text(json.dumps({**base, "n_grid": [30], "trials_per_point": 1, **config}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
