@@ -54,8 +54,10 @@ SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 #: Vertices scored for the cost of one sign-pattern solve: the exact certifier
 #: enumerates vertices when C(n-|K|, m-1) <= _VERTEX_PER_LP * 2^(|K|-1).
 #: Measured at 3-9 us per vertex against 0.2-1.1 ms per sign-pattern LAD
-#: solve (n = 30..500, m = 2..5, one BLAS thread), a ratio of 20-350.
-_VERTEX_PER_LP = 1000
+#: solve (n = 30..500, m = 2..5, one BLAS thread), a ratio of 20-350; 100
+#: sits in that range.  (Gaussian n=150, m=4, |K|=10: 512 pattern fits take
+#: 0.24 s where its 447,580 vertices take 1.97 s.)
+_VERTEX_PER_LP = 100
 #: Largest |K| for the sign-pattern route (2^19 solves); the vertex route has no cap
 _PATTERN_CAP = 20
 _MARGIN = 1e-8          # the least worst_gap that certifies a support

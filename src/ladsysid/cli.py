@@ -24,7 +24,7 @@ from .threshold import strong_threshold
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2
 
 #: what ``SupportCert.work`` counts for each certification method
-_WORK_UNITS = {"vertices": "vertices scored", "patterns": "sign-pattern LPs solved",
+_WORK_UNITS = {"vertices": "vertices scored", "patterns": "sign-pattern LAD fits",
                "mc": "directions sampled"}
 
 

@@ -9,8 +9,20 @@ l1 estimator with probability approaching one.
 The search needs the inequality's minimum over the (mu, delta) grid at
 each trial beta.  Below 1/(2m-1) the tail bracket enters with a positive
 coefficient, so that minimum is exactly the value at each mu's smallest tail
-bracket (rounded + and x by a positive number are monotone), and the full
-grid is evaluated once, at beta*, for the witness.
+bracket (rounded + and x by a positive number are monotone).  Each call
+pays only for what depends on m, and gives the same floats as a serial
+search over the full grid:
+
+- the (mu, delta) grid, its tail bracket and the per-mu minima are built
+  once per process and shared by every m, since none of them depends on m;
+- the coarse beta grid is scanned from the top, a chunk at a time: the
+  first chunk with a negative point holds the highest one;
+- the bisection evaluates the midpoints of several levels in one call and
+  replays the serial decisions: each midpoint is 0.5 * (lo + hi) of the
+  same two floats;
+- the witness, the first grid minimum in row-major order, is searched in
+  one row: by the monotonicity above, it lies in the first mu whose per-mu
+  minimum equals the grid minimum.
 
 The normal CDF is evaluated through the complementary error function
 ``_native.erfc``, Phi(t) = erfc(-t/sqrt(2))/2, accurate to a few ulp over
@@ -20,6 +32,7 @@ asymptotic expansion where erfc would underflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +59,11 @@ _MU_POINTS = 200
 _DELTA_POINTS = 99
 _COARSE_POINTS = 200
 _BETA_TOL = 1e-6
+#: Coarse beta points per step of the top-down scan, and bisection levels per call
+_SCAN_CHUNK = 32
+_BISECT_LEVELS = 5
+#: (_tail_bracket, its read-only grids), filled by _shared_grid
+_grid_memo = None
 
 
 def normal_cdf(t):
@@ -87,9 +105,13 @@ def entropy(beta):
         raise ValueError("entropy requires beta in [0, 1]")
     out = np.zeros_like(arr)
     inner = (arr > 0) & (arr < 1)
-    b = arr[inner]
-    out[inner] = -b * np.log(b) - (1 - b) * np.log(1 - b)
+    out[inner] = _entropy_inner(arr[inner])
     return float(out[0]) if np.isscalar(beta) else out.reshape(np.shape(beta))
+
+
+def _entropy_inner(b):
+    """entropy's formula alone, for b strictly inside (0, 1)."""
+    return -b * np.log(b) - (1 - b) * np.log(1 - b)
 
 
 def _phi_bracket(m, mu):
@@ -106,7 +128,7 @@ def _tail_bracket(mu, delta):
 
 def _lhs(beta, m, pos, tail):
     """The inequality from its brackets: pos = _phi_bracket, tail = _tail_bracket."""
-    return entropy(beta) + m * beta * pos + (1.0 / (2 * m - 1) - beta) * tail
+    return _entropy_inner(beta) + m * beta * pos + (1.0 / (2 * m - 1) - beta) * tail
 
 
 def threshold_inequality(beta: float, m: int, mu, delta):
@@ -137,6 +159,43 @@ class ThresholdResult:
     lhs_value: float
 
 
+def _shared_grid():
+    """The mu grid, the delta grid, the tail bracket over both and its row minima.
+
+    None of them depends on m, so they are built once per process and kept
+    read-only.  The memo is keyed on the ``_tail_bracket`` function object,
+    so a patched bracket gets a grid of its own.
+    """
+    global _grid_memo
+    if _grid_memo is None or _grid_memo[0] is not _tail_bracket:
+        mu_grid = np.logspace(-2, 2, _MU_POINTS)
+        dl_grid = np.linspace(0.01, 0.99, _DELTA_POINTS)
+        tail = _tail_bracket(mu_grid[:, None], dl_grid[None, :])
+        grid = (mu_grid, dl_grid, tail, tail.min(axis=1))
+        for arr in grid:
+            arr.flags.writeable = False
+        _grid_memo = (_tail_bracket, grid)
+    return _grid_memo[1]
+
+
+def _midpoint_tree(lo, hi, levels):
+    """Every bisection midpoint of (lo, hi) for ``levels`` levels, in heap order.
+
+    Node i splits its interval at out[i]; its lower half is node 2i+1 and its
+    upper half node 2i+2.  Each midpoint is 0.5 * (lo + hi) of its own
+    interval's endpoints, the float a serial bisection would compute.
+    """
+    ends = np.array([lo, hi])     # the sorted endpoints of one level's intervals
+    out = []
+    for _ in range(levels):
+        mids = 0.5 * (ends[:-1] + ends[1:])
+        out.append(mids)
+        split = np.empty(2 * ends.size - 1)
+        split[0::2], split[1::2] = ends, mids
+        ends = split
+    return np.concatenate(out)
+
+
 def strong_threshold(m: int) -> ThresholdResult:
     """Largest certified outlier fraction beta*(m) with its (mu, delta) witness.
 
@@ -151,45 +210,64 @@ def strong_threshold(m: int) -> ThresholdResult:
     bracket, and so is its rounded value: rounded + and x by a positive
     number are monotone.  The grid minimum over delta is therefore exactly
     the value at the smallest tail bracket of that mu, and the search runs
-    on one value per mu.  Only the witness comes from the full (mu, delta)
-    grid at beta*, with the first grid minimum in row-major order.
+    on one value per mu.  Each call pays only for what depends on m; every
+    trial beta goes through the same elementwise arithmetic as a serial
+    search, so every decision and the result are the same, bit for bit:
+
+    - The grids and the per-mu tail minima are shared by all m
+      (``_shared_grid``): they do not depend on m.
+    - The coarse grid is scanned from the top, ``_SCAN_CHUNK`` points at a
+      time, down to the first chunk with a negative point: that chunk holds
+      the highest one.
+    - The bisection evaluates the midpoints of up to ``_BISECT_LEVELS``
+      levels in one call and replays the serial decisions through them:
+      each midpoint is computed from the same two floats.
+    - The witness is the first grid minimum in row-major order, searched in
+      one row: by the monotonicity above, a row holds the grid minimum iff
+      its per-mu value equals it, so the first such mu is its row.
     """
     if not 1 <= m <= 50:
         raise ValueError(f"m must lie in 1..50, got {m}")
-    mu_grid = np.logspace(-2, 2, _MU_POINTS)
-    dl_grid = np.linspace(0.01, 0.99, _DELTA_POINTS)
-    pos = _phi_bracket(m, mu_grid)                            # mu
-    tail = _tail_bracket(mu_grid[:, None], dl_grid[None, :])  # mu x delta
-    tail_min = tail.min(axis=1)                               # mu
+    mu_grid, dl_grid, tail, tail_min = _shared_grid()
+    pos = _phi_bracket(m, mu_grid)
     beta_max = 1.0 / (2 * m - 1) * (1.0 - 1e-9)
 
     coarse = np.geomspace(1e-7, beta_max, _COARSE_POINTS)
-    neg = _lhs(coarse[:, None], m, pos, tail_min).min(axis=1) < 0
-    if not neg.any():
+    for stop in range(_COARSE_POINTS, 0, -_SCAN_CHUNK):
+        start = max(stop - _SCAN_CHUNK, 0)
+        neg = _lhs(coarse[start:stop, None], m, pos, tail_min).min(axis=1) < 0
+        if neg.any():
+            last = start + int(np.nonzero(neg)[0][-1])
+            break
+    else:
         raise ThresholdSearchError(
             f"no (beta, mu, delta) with a negative inequality value for m={m}; "
             "the search grid is misconfigured")
     # hi is the next coarse point, not negative by the same arithmetic, or
     # beta_max (geomspace ends there exactly) when all of them are negative
-    last = int(np.nonzero(neg)[0].max())
     lo = coarse[last]
     hi = coarse[last + 1] if last + 1 < _COARSE_POINTS else beta_max
     while hi - lo > _BETA_TOL:
-        mid = 0.5 * (lo + hi)
-        if _lhs(mid, m, pos, tail_min).min() < 0:
-            lo = mid
-        else:
-            hi = mid
+        levels = min(_BISECT_LEVELS, math.ceil(math.log2((hi - lo) / _BETA_TOL)))
+        mids = _midpoint_tree(lo, hi, levels)
+        neg = _lhs(mids[:, None], m, pos, tail_min).min(axis=1) < 0
+        node = 0
+        while node < mids.size and hi - lo > _BETA_TOL:
+            if neg[node]:
+                lo, node = mids[node], 2 * node + 2
+            else:
+                hi, node = mids[node], 2 * node + 1
 
     beta_star = lo
-    vals = _lhs(beta_star, m, pos[:, None], tail)
-    i_mu, i_dl = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    i_mu = int(np.argmin(_lhs(beta_star, m, pos, tail_min)))
+    row = _lhs(beta_star, m, pos[i_mu], tail[i_mu])
+    i_dl = int(np.argmin(row))
     return ThresholdResult(
         m=int(m),
         beta_star=float(beta_star),
         mu=float(mu_grid[i_mu]),
         delta=float(dl_grid[i_dl]),
-        lhs_value=float(vals.min()),
+        lhs_value=float(row[i_dl]),
     )
 
 

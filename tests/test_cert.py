@@ -170,6 +170,30 @@ class TestExactMethods:
                                      [0, 3, 5, 8, 10, 13, 15, 18, 20, 23])
         assert (cert.method, cert.work) == ("vertices", 14)
 
+    @pytest.mark.parametrize("n,m,K,seed,work", [
+        (60, 3, [0, 12, 24, 35, 47, 59], 0, 1431),
+        (24, 2, [0, 3, 5, 8, 10, 13, 15, 18, 20, 23], 93, 14),
+        (30, 3, [0, 1, 4, 5, 6, 7, 8, 9], 3, 231)])
+    def test_benchmark_cases_stay_on_vertices(self, n, m, K, seed, work):
+        # the analysis benchmark's exact cases: 1,431 vertices against 32
+        # patterns is the closest to the size rule's limit
+        cert = certify_support_exact(gauss_toeplitz(n, m, seed=seed), K)
+        assert (cert.method, cert.work) == ("vertices", work)
+
+    @pytest.mark.parametrize("n,m,step", [(150, 4, 10), (60, 5, 6), (500, 3, 10)])
+    def test_many_vertices_per_pattern_take_patterns(self, monkeypatch, n, m, step):
+        # 119,805 to 447,580 vertices, over 100 per sign pattern of |K| = 10:
+        # the 512 LAD fits are 2-8 times faster and agree with the vertices
+        H = gauss_toeplitz(n, m, seed=0)
+        K = list(range(0, 10 * step, step))
+        cert = certify_support_exact(H, K)
+        assert (cert.method, cert.work) == ("patterns", 512)
+        monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", np.inf)
+        exact = certify_support_exact(H, K)
+        assert exact.method == "vertices"
+        assert cert.verdict == exact.verdict
+        assert cert.worst_gap == pytest.approx(exact.worst_gap, abs=1e-9)
+
     @staticmethod
     def instances():
         rng = np.random.default_rng(2024)

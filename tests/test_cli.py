@@ -66,6 +66,11 @@ class TestCertify:
         assert "verdict: certified" in out
         assert "method: vertices (14535 vertices scored)" in out
 
+    def test_patterns_work_counts_lad_fits(self, capsys):
+        rc = main(["certify", "--n", "500", "--m", "5", "--support", "1,2,3"])
+        assert rc == 0
+        assert "method: patterns (4 sign-pattern LAD fits)" in capsys.readouterr().out
+
     def test_falsified_prints_witness(self, capsys):
         K = [0, 1, 4, 5, 6, 7, 8, 9]
         rc = main(["certify", "--n", "30", "--m", "3", "--support",

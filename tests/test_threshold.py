@@ -223,6 +223,19 @@ class TestStrongThreshold:
         with pytest.raises(ValueError):
             strong_threshold(51)
 
+    def test_tail_grid_built_once_for_all_m(self, monkeypatch):
+        calls = []
+        inner = threshold_mod._tail_bracket
+
+        def counted(mu, delta):
+            calls.append(1)
+            return inner(mu, delta)
+        monkeypatch.setattr(threshold_mod, "_grid_memo", None)
+        monkeypatch.setattr(threshold_mod, "_tail_bracket", counted)
+        for m in range(1, 51):
+            threshold_mod.strong_threshold(m)
+        assert len(calls) == 1
+
     def test_search_failure_reported(self, monkeypatch):
         # force a grid where no (mu, delta) certificate exists
         monkeypatch.setattr(threshold_mod, "_tail_bracket",
