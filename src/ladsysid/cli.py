@@ -9,6 +9,7 @@ error, 2 solver/search failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -37,7 +38,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: ``main`` only reads it."""
     p = _Parser(prog="ladsysid",
                 description="Robust system identification with the LAD estimator "
                             "over Toeplitz-structured regressors.")

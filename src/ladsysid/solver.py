@@ -38,6 +38,33 @@ pivoted QR by LAPACK ``geqp3``, without forming Q, retried on power-of-two
 scaled columns only when its rank test fails.  None of this changes a
 rounding: the estimates are bit for bit those of a full sort per pivot.
 
+At large n, ``lad_estimate`` first tries a band of rows (Portnoy & Koenker,
+"The Gaussian hare and the Laplacian tortoise", Statistical Science 12(4),
+1997): an l1 fit is decided by the rows near it, and every other row enters
+only through its sign.  With s = ceil(sqrt(m) n^(2/3)), it engages when the
+band of b = 3s rows is at most n/3 (n of about 8,150 and up at m = 5).  It
+fits the strided subsample of s evenly spread rows (no random draw), keeps
+the b rows with the smallest |y - A x_s|, folds every other row i into the
+fixed gradient g0 = sum sign(r_i) a_i, and runs this simplex on the band,
+with g0 added to its prices, from the subsample's basis.  The band's basis B
+is accepted only if, on all n rows, (a) every folded row keeps its sign, (b)
+no residual off B is within the zero tolerance and (c) max|lambda| < 1 - 1e-9
+for lambda = A_B^-T A' sigma, with sigma = sign(r) off B.  (a) is the cheap
+test that the band problem was the right one.  (b) and (c), taken with the
+true signs of all n rows, make B the unique and nondegenerate optimum, which
+is the vertex the full simplex stops at too: it stops at the first vertex
+whose |lambda| are all within 1 + OPT_TOL, and only a near-tie, some |lambda|
+in (1, 1 + OPT_TOL] at another vertex on its path, could stop it elsewhere
+(none was seen in the tests).  x, the residuals and the objective are then
+computed by the same calls on the same rows as the full simplex's, so they
+agree with it bit for bit.  Otherwise, or when the
+subsample's optimum is itself degenerate or non-strict, when a band-stage
+solve ends other than optimal (g0 can make the band unbounded), or when it
+raises a typed error or LinAlgError, the full
+simplex runs from the geqp3 basis of all n rows, as it did without the band
+stage.  ``Estimate.iterations`` counts the subsample's and the band's pivots
+on the band route, and the full simplex's otherwise.
+
 Each pivot solves three m x m systems (the prices, the edge direction and the
 new vertex) with ``_native.solve``, inside one ``SOLVE_ERRSTATE`` per
 ``lad_estimate`` call rather than one per system.  The zero tolerance is
@@ -55,11 +82,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._native import SOLVE_ERRSTATE, dgeqp3, solve
-from .errors import DimensionError, SingularSystemError
+from .errors import DimensionError, LadSysIdError, SingularSystemError
 from .lp import solve_lp
 from .matgen import RegressorMatrix
 
@@ -330,6 +358,214 @@ def _leaving_index(t: np.ndarray, rows: np.ndarray, w: np.ndarray, slope: float,
         t, rows = t[rest], rows[rest]
 
 
+class _Fit(NamedTuple):
+    """A simplex run's last vertex: its sorted basis rows, x, the residuals
+    y - A x, the status and the pivot count."""
+
+    basis: np.ndarray
+    x: np.ndarray
+    r: np.ndarray
+    status: str
+    iterations: int
+
+
+def _simplex(A: np.ndarray, y: np.ndarray, basis: np.ndarray, ztol: float,
+             max_iter: int, g0: np.ndarray | None = None) -> _Fit:
+    """The LAD simplex from ``basis`` (sorted rows), inside the caller's
+    ``SOLVE_ERRSTATE``.
+
+    ``g0``, when given, is the gradient sum_i sign_i a_i of rows folded at a
+    fixed sign outside A (the band stage's).  It adds to every price vector
+    and vertex-check gradient, so the run minimizes the band objective
+    ||y - Ax||_1 + sum_i sign_i (y_i - a_i x), which may be unbounded (status
+    ``degenerate_fallback``).
+    """
+    n, m = A.shape
+    AB = A[basis]
+    x = solve(AB, y[basis])
+    # per-row buffers, reused by every pivot
+    r, hd, prod, quot = np.empty((4, n))
+    cand, zero_off = np.empty((2, n), dtype=bool)
+    np.subtract(y, np.matmul(A, x, out=r), out=r)
+    # sigma: sign(r) off the basis where |r| > ztol, the subgradient sign
+    # where |r| <= ztol, and 0 on the basis
+    sigma = np.where(r >= 0, 1.0, -1.0)
+    sigma[basis] = 0.0
+    np.less_equal(np.abs(r), ztol, out=zero_off)
+    zero_off[basis] = False
+    has_zero = zero_off.any()
+
+    bland = False
+    checked_degenerate = -10**9
+    status = "iteration_limit"
+    it = 0
+
+    while it < max_iter:
+        it += 1
+        g = A.T @ sigma
+        if g0 is not None:
+            g += g0
+        lam = solve(AB.T, g)
+        viol = np.abs(lam) - 1.0
+
+        if bland:
+            violated = (viol > OPT_TOL).nonzero()[0]
+            optimal = violated.size == 0
+        else:
+            p = int(viol.argmax())
+            optimal = viol[p] <= OPT_TOL
+        if optimal:
+            status = "optimal"
+            break
+
+        if has_zero and (it - checked_degenerate) >= 25:
+            checked_degenerate = it
+            zero_mask = zero_off.copy()
+            zero_mask[basis] = True
+            nz = (~zero_mask).nonzero()[0]
+            grad_nz = A.take(nz, axis=0).T @ np.sign(r[nz])
+            if g0 is not None:
+                grad_nz += g0
+            if _certify_vertex(A, zero_mask, grad_nz):
+                status = "optimal"
+                break
+
+        if bland:
+            p = int(violated[0])  # basis kept sorted: first violation = smallest row
+        s = 1.0 if lam[p] > 0 else -1.0
+
+        e_p = np.zeros(m)
+        e_p[p] = s
+        d = solve(AB, e_p)
+        np.matmul(A, d, out=hd)
+        hd[basis] = 0.0
+
+        # rows whose residual reaches zero along d: sigma (+-1 off the
+        # basis) agrees with the sign of hd, so sigma * hd = |hd|, above
+        # a floor; a zero residual among them blocks at t = 0
+        np.multiply(sigma, hd, out=prod)
+        floor = 1e-11 * max(1.0, float(hd.max()), -float(hd.min()))
+        cand_rows = np.greater(prod, floor, out=cand).nonzero()[0]
+        if cand_rows.size == 0:
+            # cannot happen for full-rank LAD (objective grows along any ray);
+            # a band objective is unbounded along d
+            status = "degenerate_fallback"
+            break
+        with np.errstate(invalid="ignore"):   # 0/0 off the candidates
+            np.divide(r, hd, out=quot)
+        t = quot[cand_rows]
+        if has_zero:
+            t[zero_off[cand_rows]] = 0.0
+
+        leave, t_star = _leaving_index(t, cand_rows, prod, 1.0 - abs(lam[p]), bland, ztol)
+        bland = t_star * prod[leave] <= ztol     # a degenerate step
+
+        b_row = basis[p]
+        basis[p] = leave
+        basis.sort()
+        sigma[b_row] = -s
+        AB = A[basis]
+        x = solve(AB, y[basis])
+        np.subtract(y, np.matmul(A, x, out=r), out=r)
+        np.less_equal(np.abs(r, out=quot), ztol, out=zero_off)
+        zero_off[basis] = False
+        has_zero = zero_off.any()
+        if has_zero:
+            zero_rows = zero_off.nonzero()[0]
+            kept = sigma[zero_rows]
+        np.copysign(1.0, r, out=sigma)
+        if has_zero:
+            sigma[zero_rows] = kept
+        sigma[basis] = 0.0
+
+    return _Fit(basis, x, r, status, it)
+
+
+#: the band stage keeps _BAND_MULTIPLE times as many rows as it subsamples,
+#: and engages only when that band is at most 1/_BAND_MULTIPLE of the rows
+_BAND_MULTIPLE = 3
+#: the strictness margin: a vertex is accepted only when max|lambda| is below
+#: 1 - _STRICT, far from the simplex's own optimality tolerance
+_STRICT = 1e-9
+
+
+def _subsample_rows(n: int, m: int) -> np.ndarray | None:
+    """The rows the band stage fits first: ceil(sqrt(m) n^(2/3)) of them,
+    spread evenly over 0..n-1 (row 0 first, then every ~n/size-th row).
+    None when the band, ``_BAND_MULTIPLE`` times as many rows, would exceed
+    n / ``_BAND_MULTIPLE``: the stage does not engage."""
+    size = math.ceil(math.sqrt(m) * n ** (2.0 / 3.0))
+    if _BAND_MULTIPLE ** 2 * size > n:
+        return None
+    return np.arange(size) * n // size
+
+
+def _vertex_fault(A: np.ndarray, basis: np.ndarray, r: np.ndarray,
+                  ztol: float) -> str | None:
+    """None when the vertex is the unique, nondegenerate LAD optimum of (A, y)
+    with margin: no off-basis residual within ztol and max|lambda| < 1 - _STRICT
+    for lambda = A_B^-T A' sigma, sigma = sign(r) off the basis.  Otherwise
+    ``degenerate`` or ``non-strict``."""
+    zero = np.abs(r) <= ztol
+    zero[basis] = False
+    if zero.any():
+        return "degenerate"
+    sigma = np.where(r >= 0, 1.0, -1.0)
+    sigma[basis] = 0.0
+    if float(np.abs(solve(A[basis].T, A.T @ sigma)).max()) >= 1.0 - _STRICT:
+        return "non-strict"
+    return None
+
+
+def _band_stage(A: np.ndarray, y: np.ndarray, rows: np.ndarray, ztol: float,
+                max_iter: int) -> _Fit | str:
+    """The full simplex's last vertex found from a band of rows, or the reason
+    the band stage declined, for ``lad_estimate`` to fall back on.
+
+    Fits the subsample ``rows``, keeps the band of ``_BAND_MULTIPLE`` times as
+    many rows with the smallest |y - A x_s| (the subsample's basis among
+    them), folds every other row i into g0 = sum sign(r_i) a_i, and runs the
+    simplex on the band with g0 added to its prices, from the subsample's
+    basis.  The band's basis B is accepted only when, on all n rows, (a)
+    every folded row keeps its sign and ``_vertex_fault`` finds (b) no zero
+    residual off B and (c) max|lambda| < 1 - _STRICT.  x and r are then
+    computed from B by the same calls as the full simplex's.  Runs inside
+    the caller's ``SOLVE_ERRSTATE``; a typed error or LinAlgError declines.
+    """
+    width = _BAND_MULTIPLE * rows.size
+    try:
+        A_s, y_s = A[rows], y[rows]
+        sub = _simplex(A_s, y_s, _initial_basis(A_s), ztol, max_iter)
+        if sub.status != "optimal":
+            return "subsample " + sub.status
+        fault = _vertex_fault(A_s, sub.basis, sub.r, ztol)
+        if fault:
+            return "subsample " + fault
+        start = rows[sub.basis]
+        r = y - A @ sub.x
+        dist = np.abs(r)
+        dist[start] = -1.0      # the band starts from the subsample's basis
+        band = np.sort(np.argpartition(dist, width)[:width])
+        fold = np.where(r >= 0, 1.0, -1.0)
+        fold[band] = 0.0
+        fit = _simplex(A[band], y[band], np.searchsorted(band, start), ztol,
+                       max_iter - sub.iterations, g0=A.T @ fold)
+        if fit.status != "optimal":
+            return "band " + fit.status
+        basis = band[fit.basis]
+        x = solve(A[basis], y[basis])
+        r = np.empty_like(y)
+        np.subtract(y, np.matmul(A, x, out=r), out=r)
+        if not (fold * r >= 0.0).all():
+            return "sign flip"
+        fault = _vertex_fault(A, basis, r, ztol)
+        if fault:
+            return fault
+    except (LadSysIdError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__
+    return _Fit(basis, x, r, "optimal", sub.iterations + fit.iterations)
+
+
 def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     """Minimize the sum of absolute residuals ||y - Hx||_1.
 
@@ -338,119 +574,33 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     returned vertex is one deterministic element of it.  A NaN or inf in H
     or y raises DimensionError, as does a residual sum beyond the float
     range; a basis that turns out singular raises numpy's LinAlgError.
+    When n is at least 9 times the band stage's subsample, ``_band_stage``
+    runs first; ``max_iter`` then caps its two solves together, and the full
+    simplex, run when it declines, gets all of ``max_iter`` again.
     """
     A, y = _checked_inputs(H, y)
     n, m = A.shape
     if max_iter is None:
         max_iter = 200 * (n + m) + 1000
-
-    basis = _initial_basis(A)
     ztol = ZERO_TOL * (float(np.abs(y).max()) or 1.0)
 
     # H and y are finite, so only a singular solve can raise the invalid flag
     # inside this block, and it turns into LinAlgError as in np.linalg.solve
     with np.errstate(**SOLVE_ERRSTATE):
-        AB = A[basis]
-        x = solve(AB, y[basis])
-        # per-row buffers, reused by every pivot
-        r, hd, prod, quot = np.empty((4, n))
-        cand, zero_off = np.empty((2, n), dtype=bool)
-        np.subtract(y, np.matmul(A, x, out=r), out=r)
-        # sigma: sign(r) off the basis where |r| > ztol, the subgradient sign
-        # where |r| <= ztol, and 0 on the basis
-        sigma = np.where(r >= 0, 1.0, -1.0)
-        sigma[basis] = 0.0
-        np.less_equal(np.abs(r), ztol, out=zero_off)
-        zero_off[basis] = False
-        has_zero = zero_off.any()
-
-        bland = False
-        checked_degenerate = -10**9
-        status = "iteration_limit"
-        it = 0
-
-        while it < max_iter:
-            it += 1
-            g = A.T @ sigma
-            lam = solve(AB.T, g)
-            viol = np.abs(lam) - 1.0
-
-            if bland:
-                violated = (viol > OPT_TOL).nonzero()[0]
-                optimal = violated.size == 0
-            else:
-                p = int(viol.argmax())
-                optimal = viol[p] <= OPT_TOL
-            if optimal:
-                status = "optimal"
-                break
-
-            if has_zero and (it - checked_degenerate) >= 25:
-                checked_degenerate = it
-                zero_mask = zero_off.copy()
-                zero_mask[basis] = True
-                nz = (~zero_mask).nonzero()[0]
-                grad_nz = A.take(nz, axis=0).T @ np.sign(r[nz])
-                if _certify_vertex(A, zero_mask, grad_nz):
-                    status = "optimal"
-                    break
-
-            if bland:
-                p = int(violated[0])  # basis kept sorted: first violation = smallest row
-            s = 1.0 if lam[p] > 0 else -1.0
-
-            e_p = np.zeros(m)
-            e_p[p] = s
-            d = solve(AB, e_p)
-            np.matmul(A, d, out=hd)
-            hd[basis] = 0.0
-
-            # rows whose residual reaches zero along d: sigma (+-1 off the
-            # basis) agrees with the sign of hd, so sigma * hd = |hd|, above
-            # a floor; a zero residual among them blocks at t = 0
-            np.multiply(sigma, hd, out=prod)
-            floor = 1e-11 * max(1.0, float(hd.max()), -float(hd.min()))
-            cand_rows = np.greater(prod, floor, out=cand).nonzero()[0]
-            if cand_rows.size == 0:
-                # cannot happen for full-rank LAD (objective grows along any ray)
-                status = "degenerate_fallback"
-                break
-            with np.errstate(invalid="ignore"):   # 0/0 off the candidates
-                np.divide(r, hd, out=quot)
-            t = quot[cand_rows]
-            if has_zero:
-                t[zero_off[cand_rows]] = 0.0
-
-            leave, t_star = _leaving_index(t, cand_rows, prod, 1.0 - abs(lam[p]), bland, ztol)
-            bland = t_star * prod[leave] <= ztol     # a degenerate step
-
-            b_row = basis[p]
-            basis[p] = leave
-            basis.sort()
-            sigma[b_row] = -s
-            AB = A[basis]
-            x = solve(AB, y[basis])
-            np.subtract(y, np.matmul(A, x, out=r), out=r)
-            np.less_equal(np.abs(r, out=quot), ztol, out=zero_off)
-            zero_off[basis] = False
-            has_zero = zero_off.any()
-            if has_zero:
-                zero_rows = zero_off.nonzero()[0]
-                kept = sigma[zero_rows]
-            np.copysign(1.0, r, out=sigma)
-            if has_zero:
-                sigma[zero_rows] = kept
-            sigma[basis] = 0.0
+        rows = _subsample_rows(n, m)
+        fit = None if rows is None else _band_stage(A, y, rows, ztol, max_iter)
+        if not isinstance(fit, _Fit):
+            fit = _simplex(A, y, _initial_basis(A), ztol, max_iter)
 
     with np.errstate(over="ignore"):
-        objective = float(np.abs(r).sum())
+        objective = float(np.abs(fit.r).sum())
     return Estimate(
-        x_hat=x,
+        x_hat=fit.x,
         objective=_finite(objective),
-        residuals=r,
-        status=status,
+        residuals=fit.r,
+        status=fit.status,
         method="lad",
-        iterations=it,
+        iterations=fit.iterations,
     )
 
 

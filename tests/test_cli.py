@@ -25,6 +25,14 @@ class TestBasics:
     def test_missing_required_flag(self, capsys):
         assert main(["certify", "--n", "10"]) == 1
 
+    def test_usage_error_after_a_successful_call(self, capsys):
+        # the parser is built once per process; a parse must leave nothing behind
+        assert main(["threshold", "--m-max", "2"]) == 0
+        assert main(["threshold", "--m-max", "2", "--bogus"]) == 1
+        assert main(["certify", "--n", "10"]) == 1
+        assert main(["threshold", "--m-max", "2"]) == 0
+        assert "m=  2" in capsys.readouterr().out
+
 
 class TestTable1:
     def test_prints_golden_estimates(self, capsys):

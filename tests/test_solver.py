@@ -8,8 +8,8 @@ import pytest
 
 from ladsysid import (DimensionError, InputDist, SingularSystemError,
                       build_regressor, consistency_scenario, derive_seed,
-                      lad_estimate, ls_estimate, run_experiment, sample_input,
-                      scenario_table1)
+                      fir_scenario, lad_estimate, ls_estimate, run_experiment,
+                      sample_input, scenario_table1)
 import ladsysid.harness
 import ladsysid.solver
 from ladsysid.harness import _draw_trial, config_from_dict
@@ -56,6 +56,28 @@ def routed_check(lps, A, zero_mask, grad_nz):
     before = len(lps)
     got = _certify_vertex(A, zero_mask, grad_nz)
     return got, "lp" if len(lps) > before else "witness" if got else "separator"
+
+
+def band_routes(monkeypatch):
+    """Wrap ``solver._band_stage``; the returned list gets each call's route:
+    ``accepted``, or the reason the stage declined."""
+    routes = []
+    inner = ladsysid.solver._band_stage
+
+    def recorded(*args):
+        fit = inner(*args)
+        routes.append(fit if isinstance(fit, str) else "accepted")
+        return fit
+    monkeypatch.setattr(ladsysid.solver, "_band_stage", recorded)
+    return routes
+
+
+def full_simplex(monkeypatch, H, y):
+    """``lad_estimate`` with the band stage declining, so the full simplex runs
+    from the geqp3 basis of all n rows."""
+    with monkeypatch.context() as patched:
+        patched.setattr(ladsysid.solver, "_band_stage", lambda *args: "disabled")
+        return lad_estimate(H, y)
 
 
 def gauss_toeplitz(n, m, seed, sigma=1.0):
@@ -299,18 +321,125 @@ class TestLargeN:
         assert est.iterations == iterations
         assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
 
-    def test_consistency_gaussian_n30000(self):
-        # frozen from the solver with a partition-selected ratio test prefix
-        # and one LAPACK geqp3 call (the pivoted QR of scipy.linalg.qr) for
-        # the initial basis
+    def test_consistency_gaussian_n30000(self, monkeypatch):
+        # frozen from the full simplex with a partition-selected ratio test
+        # prefix and one LAPACK geqp3 call (the pivoted QR of scipy.linalg.qr)
+        # for the initial basis.  The band stage declines on this trial (a
+        # folded row changes sign), so the public path is that simplex too.
         H, x, e, w = _draw_trial(consistency_scenario("gaussian", 30000), derive_seed(0, 0, 0))
         y = H.entries @ x + e + w
+        digest = "87bdd6c12ea82e1ad536982c5135d3274ff146ace076d515455a2bb54ffaea0a"
+        full = full_simplex(monkeypatch, H, y)
+        assert full.iterations == 27
+        assert hashlib.sha256(full.x_hat.tobytes()).hexdigest() == digest
+        routes = band_routes(monkeypatch)
         est = lad_estimate(H, y)
+        assert routes == ["sign flip"]
         assert est.status == "optimal"
         assert est.objective == pytest.approx(highs_lad_objective(H, y), rel=1e-9)
         assert est.iterations == 27
-        assert (hashlib.sha256(est.x_hat.tobytes()).hexdigest()
-                == "87bdd6c12ea82e1ad536982c5135d3274ff146ace076d515455a2bb54ffaea0a")
+        assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
+
+    def test_consistency_gaussian_n30000_band_route(self, monkeypatch):
+        # the next trial takes the band route: its pivots are the subsample's
+        # and the band's, and x_hat is the full simplex's (frozen from it)
+        H, x, e, w = _draw_trial(consistency_scenario("gaussian", 30000), derive_seed(0, 0, 1))
+        y = H.entries @ x + e + w
+        digest = "925d62250fae0bb0d1fdc154ec32156a40014786137b0e6cbebc6abb26e45b66"
+        full = full_simplex(monkeypatch, H, y)
+        assert full.iterations == 34
+        assert hashlib.sha256(full.x_hat.tobytes()).hexdigest() == digest
+        routes = band_routes(monkeypatch)
+        est = lad_estimate(H, y)
+        assert routes == ["accepted"]
+        assert est.status == "optimal"
+        assert est.iterations == 42
+        assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
+
+
+def preset_trial(kind, n, trial):
+    """Trial ``trial`` of a consistency preset or of ``fir`` at size n."""
+    scenario = fir_scenario(n) if kind == "fir" else consistency_scenario(kind, n)
+    H, x, e, w = _draw_trial(scenario, derive_seed(0, 0, trial))
+    return H, H.entries @ x + e + w
+
+
+def outlier_trial(dist, n, noise_sd, seed=0):
+    """m=5 Toeplitz regressor of ``dist`` input, noise of sd ``noise_sd`` and
+    N(0, 10^2) outliers on a tenth of the rows."""
+    rng = np.random.default_rng(seed)
+    H = build_regressor(sample_input(dist, n, 5, seed), n, 5).entries
+    y = H @ rng.standard_normal(5) + noise_sd * rng.standard_normal(n)
+    rows = rng.choice(n, n // 10, replace=False)
+    y[rows] += rng.normal(0.0, 10.0, rows.size)
+    return H, y
+
+
+def unbounded_band(n):
+    """The subsample's rows follow another model than the rest: the folded
+    rows' fixed-sign gradient then outweighs every band row."""
+    rng = np.random.default_rng(0)
+    H = rng.standard_normal((n, 5))
+    y = H @ rng.standard_normal(5) + rng.standard_normal(n)
+    rows = ladsysid.solver._subsample_rows(n, 5)
+    y[rows] += H[rows] @ np.ones(5)
+    return H, y
+
+
+def singular_subsample(n):
+    """The last column is zero except on rows 1-5, which the subsample skips
+    (it takes row 0 and then every 9th row or sparser), so only the
+    subsample is rank deficient."""
+    rng = np.random.default_rng(1)
+    H = rng.standard_normal((n, 5))
+    H[:, -1] = 0.0
+    H[1:6, -1] = rng.standard_normal(5)
+    return H, H @ rng.standard_normal(5) + rng.standard_normal(n)
+
+
+class TestBandStage:
+    """Large-n LAD runs ``_band_stage`` first.  Whichever route it takes, the
+    estimate must be the full simplex's to the last bit; each route fires on
+    one of these inputs."""
+
+    CASES = {
+        "gaussian-10000": (lambda: preset_trial("gaussian", 10000, 0), "sign flip"),
+        "gaussian-30000": (lambda: preset_trial("gaussian", 30000, 2), "accepted"),
+        "gamma-10000": (lambda: preset_trial("gamma", 10000, 0), "accepted"),
+        "gamma-30000": (lambda: preset_trial("gamma", 30000, 0), "accepted"),
+        "exponential-10000": (lambda: preset_trial("exponential", 10000, 0), "accepted"),
+        "exponential-30000": (lambda: preset_trial("exponential", 30000, 0), "accepted"),
+        "fir-10000": (lambda: preset_trial("fir", 10000, 0), "accepted"),
+        "fir-30000": (lambda: preset_trial("fir", 30000, 0), "accepted"),
+        "noisy-pm1-10000": (lambda: outlier_trial(InputDist.bernoulli_pm1(), 10000, 1.0),
+                            "subsample non-strict"),
+        "noiseless-gaussian-10000": (lambda: outlier_trial(InputDist.gaussian(1.0), 10000, 0.0),
+                                     "subsample degenerate"),
+        "noiseless-pm1-10000": (lambda: outlier_trial(InputDist.bernoulli_pm1(), 10000, 0.0),
+                                "subsample degenerate"),
+        "unbounded-band-10000": (lambda: unbounded_band(10000), "band degenerate_fallback"),
+        "singular-subsample-10000": (lambda: singular_subsample(10000), "SingularSystemError"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_identical_to_full_simplex(self, monkeypatch, case):
+        draw, route = self.CASES[case]
+        H, y = draw()
+        full = full_simplex(monkeypatch, H, y)
+        routes = band_routes(monkeypatch)
+        est = lad_estimate(H, y)
+        assert routes == [route]
+        assert est.x_hat.tobytes() == full.x_hat.tobytes()
+        assert est.residuals.tobytes() == full.residuals.tobytes()
+        assert est.objective == full.objective
+        assert est.status == full.status == "optimal"
+        if route != "accepted":
+            assert est.iterations == full.iterations
+
+    def test_engages_from_n_about_8150_at_m5(self):
+        # the band, 3 ceil(sqrt(5) n^(2/3)) rows, must be at most n / 3
+        assert ladsysid.solver._subsample_rows(8150, 5) is None
+        assert ladsysid.solver._subsample_rows(8200, 5).size == 910
 
 
 class TestNoiselessSweepGolden:
