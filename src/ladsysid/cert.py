@@ -65,8 +65,21 @@ _RECOVERY_TOL = 1e-6    # empirical_recovery_rate's relative error bound
 #: Entries of the (directions x n) score buffer per batch (1 MB of float64):
 #: vertex enumeration and the randomized falsifier score each batch in one
 #: buffer, allocated once per call, that stays in cache between the product,
-#: the absolute value and the column sums.
+#: the absolute value and the column sums.  The batches are part of the
+#: output: OpenBLAS rounds a row of a matrix product differently depending on
+#: where it sits in its batch, so a direction's scores are those of its row in
+#: the full-batch product, and the batch sizes (``_batch_sizes``) fix them.
 _BATCH_ENTRIES = 131_072
+#: Probe vectors H' sign(Hu) of the falsifier's lower bound on ||Hz||_1.  On
+#: the analysis benchmark's case (n=500, m=5, |K|=3) 16 probes pass 5% of the
+#: directions to the second look; with 8, over a quarter of the first bounded
+#: block passes, so the call scores everything whole; 24 or 32 saved no time
+#: (one BLAS thread, 2-core x86-64 host)
+_PROBES = 16
+#: Entries of each of the falsifier's per-block arrays (directions times
+#: max(m, _PROBES, |K|), 256 kB of float64); a block holds whole batches,
+#: at least one
+_BLOCK_ENTRIES = 32_768
 
 
 @dataclass
@@ -169,15 +182,27 @@ def certify_support_exact(H, K) -> SupportCert:
                        witness=z / np.linalg.norm(z))
 
 
+def _product(Z, A, buf):
+    """Z H', written into the leading rows of ``buf``."""
+    V = buf[:Z.shape[0]]
+    np.matmul(Z, A.T, out=V)
+    return V
+
+
 def _abs_sums(Z, A, buf, idx, rest):
     """Row sums of |Z H'| over the columns ``idx`` and over ``rest``.
 
     The product is written into the leading rows of ``buf`` and made
     absolute in place; ``rest`` is the index array of Kbar, or
-    ``slice(None)`` for every column.
+    ``slice(None)`` for every column.  The two sums round differently, and
+    each is part of the output.  The gather ``V[:, idx]`` is F-ordered, so
+    its rows are summed left to right; ``V[:, rest]`` with a slice is V
+    itself, each of whose C-ordered rows is summed pairwise.  A row's sums
+    thus depend on its own entries only, but a gather of a few rows need not
+    keep that layout (a one-row gather is summed pairwise), so a subset's
+    sums over ``idx`` are taken from the whole batch's gather.
     """
-    V = buf[:Z.shape[0]]
-    np.matmul(Z, A.T, out=V)
+    V = _product(Z, A, buf)
     np.abs(V, out=V)
     return V[:, idx].sum(axis=1), V[:, rest].sum(axis=1)
 
@@ -196,6 +221,22 @@ def _batch_sizes(total: int, n: int) -> list:
     if r == 1 and q:
         sizes[-2:] = [size + 1]
     return sizes
+
+
+def _blocks(sizes, first: int, most: int) -> list:
+    """``sizes`` cut into blocks of whole batches: the first block ends once
+    it holds ``first`` directions, and each later one holds as many batches
+    as fit in ``most`` directions, at least one."""
+    blocks, start = [], 0
+    while start < len(sizes):
+        stop, held = start + 1, sizes[start]
+        while stop < len(sizes) and (held < first if not blocks
+                                     else held + sizes[stop] <= most):
+            held += sizes[stop]
+            stop += 1
+        blocks.append(sizes[start:stop])
+        start = stop
+    return blocks
 
 
 def _vertex_max(A, idx, cidx):
@@ -280,9 +321,71 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
 
     Never certifies -- a clean sweep only returns ``unfalsified``.  Directions
     are normalized Gaussian vectors, i.e. uniform on the sphere, drawn from
-    one Gaussian stream and scored in batches; the first minimum is kept.
-    H is first scaled, exactly, by the power of two that brings max|H| into
-    [1, 2), so ``worst_gap`` does not depend on the scale of H.
+    one Gaussian stream and scored in batches (``_batch_sizes``): the score
+    is ||(Hz)_Kbar||_1 / ||(Hz)_K||_1 - 1, or the unscaled gap where
+    ||(Hz)_K||_1 is below 1e-300, and its first minimum is kept.  H is first
+    scaled, exactly, by the power of two that brings max|H| into [1, 2), so
+    ``worst_gap`` does not depend on the scale of H.
+
+    Only the directions that may reach the running minimum ``worst`` are
+    scored; the others are skipped, and a batch none of whose directions
+    may reach it is never multiplied out.  The first block of whole batches,
+    holding ``_PROBES`` directions or more, is scored whole.  Its first
+    ``_PROBES`` / 2 and best-scored ``_PROBES`` / 2 directions u then give
+    the probes g = H' sign(Hu).  The bound is not built for an empty K,
+    whose score it cannot cut, for n <= ``_PROBES``, where it would read as
+    many numbers per direction as full scoring does, or when fewer than 16
+    directions per probe are left.  In each later block (``_BLOCK_ENTRIES``),
+    a direction passes the probe bound when lb(z) = max_g |g'z| - slack, a
+    lower bound on ||Hz||_1 because ||Hz||_1 = max c'Hz over sign vectors
+    c, may not exceed cut(z) = (worst + 2) ||(Hz)_K||_1, up to rounding,
+    with the K part taken from the |K| support rows.  That costs
+    O(m (_PROBES + |K|)) per direction.  A direction that passes gets a
+    second look: its ||Hz||_1 from a product of its own, less the same
+    slack, against the same cut.  The directions that pass both are scored
+    exactly as a full scoring would score them.  A batch where more than a
+    quarter pass is scored whole.  When more than a quarter of a block pass
+    the probe bound, the block skips the second look and is scored whole,
+    and if that block is the first one bounded, the call scores every later
+    batch whole too.
+
+    Why the bits hold.  A surviving direction's row still comes from the
+    product of its whole batch, at its place in it (see ``_BATCH_ENTRIES``);
+    its sum over K comes from the whole batch's gather (see ``_abs_sums``);
+    and its total is its row's own pairwise sum.  Its score is thus the one
+    a full scoring computes.  A skipped direction's computed score is
+    strictly above ``worst``, shown below, so it is above every later
+    ``worst`` too.  It can never be the first minimum of a batch that
+    lowers ``worst``, and the survivors keep their order.  So ``worst_gap``,
+    the verdict and the witness are those of scoring every direction.  The
+    draws are made a block at a time; one stream yields the same values.
+
+    The slack.  Let u = eps/2, g_k = k u / (1 - k u), T and on the total and
+    K sum a full scoring computes, and M(z) = sum_ij |H_ij| |z_j| (M_K over
+    the rows K); these bounds hold for any order of summation, with or
+    without FMA, while (n + m) u < 0.01.  Each entry of a computed product
+    Hz is within g_m of the true one, relative to its share of M.  So T is
+    at least ||Hz||_1 - (g_m + 1.01 g_(n-1)) M, and a total from a product of
+    its own is at most ||Hz||_1 plus as much.  A computed probe is within
+    g_(n-1) |H|'1 of H'c entrywise and its product with z within
+    g_m (1 + g_(n-1)) M of g'z, so ||Hz||_1 >= |c'Hz| >= max_g |g'z| -
+    1.1 (n + m) u M.  Both lower estimates of T are thus within 2.2 (n + m)
+    u M of below T.  slack = 16 (n + m) u sum|H|, as computed, exceeds
+    15 (n + m) u M, as M <= sum|H| (1 + (m + 2) u) for a normalized z; that
+    covers the estimates and their rounding.  On the K side, the support
+    rows' sum on_p and on differ by at most 2.1 (|K| u on_p + m u M_K).
+    With rel = 4 (|K| + m) u and floor = rel sum|H_K| + 2e-300, on is at
+    most hi = on_p (1 + rel) + floor, and above 1e-300 whenever on_p (1 -
+    rel) > floor; where that fails, on may take the score's unscaled
+    branch, and cut is infinite.  Every computed score is at least
+    -1 - 3 n u, so worst + 2 > 0.99 and |worst| < 1.03 (worst + 2).  If
+    T >= (worst + 2)(1 + 8u) on and on > 1e-300, then x = T / on - 2 >=
+    worst + 8u (worst + 2).  The score's subtraction and division scale x
+    by 1 +- 2.01u at most, which cannot undo that margin, so the computed
+    score is above ``worst``.  cut = (worst + 2)(1 + 16u) hi, as computed,
+    is at least (worst + 2)(1 + 8u) on, so lb > cut implies it.
+    Gradual underflow loses less than 2^-1074 per product, which the slack
+    (max|H| >= 1 after the scaling) and floor's 2e-300 cover.
     """
     if trials < 1:
         raise DimensionError(f"trials must be >= 1, got {trials}")
@@ -295,23 +398,84 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     worst_z = None
     sizes = _batch_sizes(trials, n)
     buf = np.empty((max(sizes), n))
-    for b in sizes:
-        Z = rng.standard_normal((b, m))
-        norms = np.linalg.norm(Z, axis=1)
+    bound = None               # a _ProbeBound while bounding pays
+    first = []                 # the first block's scores, for the probes
+    most = max(1, _BLOCK_ENTRIES // max(m, _PROBES, idx.size))
+    for j, block in enumerate(_blocks(sizes, _PROBES, most)):
+        Zb = rng.standard_normal((sum(block), m))
+        norms = np.linalg.norm(Zb, axis=1)
         norms[norms == 0] = 1.0
-        Z /= norms[:, None]
-        on, total = _abs_sums(Z, A, buf, idx, slice(None))
-        gaps = total - 2.0 * on
-        scaled = np.where(on > 1e-300, gaps / np.maximum(on, 1e-300), gaps)
-        i = int(np.argmin(scaled))
-        if scaled[i] < worst:
-            worst = float(scaled[i])
-            worst_z = Z[i].copy()
+        Zb /= norms[:, None]
+        keep = bound.survivors(Zb, worst, buf) if bound else None
+        start = 0
+        for b in block:
+            Z = Zb[start:start + b]
+            rows = None if keep is None else keep[start:start + b].nonzero()[0]
+            start += b
+            if rows is None or 4 * rows.size > b:
+                rows = slice(None)
+                on, total = _abs_sums(Z, A, buf, idx, rows)
+            elif rows.size:
+                V = _product(Z, A, buf)
+                on = np.abs(V[:, idx]).sum(axis=1)[rows]
+                total = np.abs(V[rows]).sum(axis=1)
+            else:
+                continue
+            gaps = total - 2.0 * on
+            scores = np.where(on > 1e-300, gaps / np.maximum(on, 1e-300), gaps)
+            if j == 0:
+                first.append(scores)
+            i = int(np.argmin(scores))
+            if scores[i] < worst:
+                worst = float(scores[i])
+                worst_z = Z[rows][i].copy()
+        if j == 0 and idx.size and n > _PROBES and trials - Zb.shape[0] >= 16 * _PROBES:
+            bound = _ProbeBound(A, idx, Zb, np.concatenate(first))
+        elif j == 1 and keep is None:
+            bound = None       # the bound does not pay on this input
 
     if worst <= 0.0:
         return SupportCert(_support_tuple(idx), "falsified", worst, "mc", trials,
                            witness=worst_z)
     return SupportCert(_support_tuple(idx), "unfalsified", worst, "mc", trials)
+
+
+class _ProbeBound:
+    """The falsifier's two lower bounds on ||Hz||_1 and its upper bound on
+    ||(Hz)_K||_1; ``certify_support_mc`` derives them and their slack."""
+
+    def __init__(self, A, idx, Z, scores):
+        n, m = A.shape
+        u = np.finfo(float).eps / 2
+        best = np.argsort(scores, kind="stable")[:_PROBES - _PROBES // 2]
+        U = Z[np.concatenate([np.arange(min(_PROBES // 2, len(Z))), best])]
+        self.A = A
+        self.probes = np.array([np.sign(A @ z) @ A for z in U])     # P x m
+        self.hk = A[idx]                                             # |K| x m
+        self.slack = 16.0 * (n + m) * u * float(np.abs(A).sum())
+        self.rel = 4.0 * (idx.size + m) * u
+        self.floor = self.rel * float(np.abs(self.hk).sum()) + 2e-300
+        self.grow = 1.0 + 16.0 * u
+
+    def survivors(self, Z, worst, buf):
+        """Which rows of Z may score at most ``worst``, as a boolean mask, or
+        None when more than a quarter of them pass the probe bound."""
+        # each direction is a column here, so the reductions run across rows
+        W = self.probes @ Z.T
+        low = np.abs(W, out=W).max(axis=0) - self.slack
+        W = self.hk @ Z.T
+        on = np.abs(W, out=W).sum(axis=0)
+        cut = (worst + 2.0) * self.grow * (on * (1.0 + self.rel) + self.floor)
+        cut[on * (1.0 - self.rel) <= self.floor] = np.inf
+        keep = low <= cut
+        looked = keep.nonzero()[0]
+        if 4 * looked.size > keep.size:
+            return None
+        for start in range(0, looked.size, buf.shape[0]):
+            rows = looked[start:start + buf.shape[0]]
+            V = _product(Z[rows], self.A, buf)
+            keep[rows] = np.abs(V, out=V).sum(axis=1) - self.slack <= cut[rows]
+        return keep
 
 
 def empirical_recovery_rate(H, K, trials: int, magnitude: Magnitude, seed: int) -> float:

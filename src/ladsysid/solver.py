@@ -57,13 +57,14 @@ whose |lambda| are all within 1 + OPT_TOL, and only a near-tie, some |lambda|
 in (1, 1 + OPT_TOL] at another vertex on its path, could stop it elsewhere
 (none was seen in the tests).  x, the residuals and the objective are then
 computed by the same calls on the same rows as the full simplex's, so they
-agree with it bit for bit.  Otherwise, or when the
-subsample's optimum is itself degenerate or non-strict, when a band-stage
-solve ends other than optimal (g0 can make the band unbounded), or when it
-raises a typed error or LinAlgError, the full
-simplex runs from the geqp3 basis of all n rows, as it did without the band
-stage.  ``Estimate.iterations`` counts the subsample's and the band's pivots
-on the band route, and the full simplex's otherwise.
+agree with it bit for bit.  Otherwise, or when the subsample's first
+column has one magnitude (+-1 input, whose subsample optimum had a dual at
++-1 on every instance tried), when the subsample's optimum is itself
+degenerate or non-strict, when a band-stage solve ends other than optimal
+(g0 can make the band unbounded), or when it raises a typed error or
+LinAlgError, the full simplex runs from the geqp3 basis of all n rows, as it
+did without the band stage.  ``Estimate.iterations`` counts the subsample's
+and the band's pivots on the band route, and the full simplex's otherwise.
 
 Each pivot solves three m x m systems (the prices, the edge direction and the
 new vertex) with ``_native.solve``, inside one ``SOLVE_ERRSTATE`` per
@@ -531,10 +532,18 @@ def _band_stage(A: np.ndarray, y: np.ndarray, rows: np.ndarray, ztol: float,
     residual off B and (c) max|lambda| < 1 - _STRICT.  x and r are then
     computed from B by the same calls as the full simplex's.  Runs inside
     the caller's ``SOLVE_ERRSTATE``; a typed error or LinAlgError declines.
+    It declines at once, as ``one magnitude``, when every entry of the
+    subsample's first column has the same |value|, as +-1 PRBS input gives:
+    on every such instance tried, the subsample's duals landed on +-1 and
+    the stage declined after the subsample solve, as ``subsample
+    non-strict`` or ``subsample degenerate``.
     """
     width = _BAND_MULTIPLE * rows.size
     try:
         A_s, y_s = A[rows], y[rows]
+        lead = np.abs(A_s[:, 0])
+        if (lead == lead[0]).all():
+            return "one magnitude"
         sub = _simplex(A_s, y_s, _initial_basis(A_s), ztol, max_iter)
         if sub.status != "optimal":
             return "subsample " + sub.status

@@ -8,7 +8,10 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 
 from ladsysid import InputDist, build_regressor, lad_estimate, sample_input
+from ladsysid.cert import _batch_sizes, _unit_scaled
 from ladsysid.lp import solve_lp
+from ladsysid.matgen import rng_from_seed
+from ladsysid.solver import _as_matrix
 
 
 #: a noiseless +-1 PRBS scenario whose optima are degenerate vertices
@@ -55,6 +58,38 @@ def direction_grid_min_gap(H, K, points=10**4):
     gaps = V.sum(axis=1) - 2.0 * V[:, on_k].sum(axis=1)
     i = int(np.argmin(gaps))
     return float(gaps[i]), Z[i]
+
+
+def mc_batched_reference(H, K, trials, seed):
+    """The randomized falsifier's loop as it stood before it skipped any
+    direction: each batch of ``_batch_sizes`` is drawn, normalized and scored
+    whole, by one product written into a reused buffer, an in-place absolute
+    value, the F-ordered gather's row sums over K and the rows' pairwise sums.
+    Returns the worst scaled gap and its direction."""
+    A = _unit_scaled(_as_matrix(H))
+    n, m = A.shape
+    idx = np.asarray(sorted(set(int(i) for i in K)), dtype=int)
+    rng = rng_from_seed(seed)
+    worst = np.inf
+    worst_z = None
+    sizes = _batch_sizes(trials, n)
+    buf = np.empty((max(sizes), n))
+    for b in sizes:
+        Z = rng.standard_normal((b, m))
+        norms = np.linalg.norm(Z, axis=1)
+        norms[norms == 0] = 1.0
+        Z /= norms[:, None]
+        V = buf[:b]
+        np.matmul(Z, A.T, out=V)
+        np.abs(V, out=V)
+        on, total = V[:, idx].sum(axis=1), V[:, slice(None)].sum(axis=1)
+        gaps = total - 2.0 * on
+        scaled = np.where(on > 1e-300, gaps / np.maximum(on, 1e-300), gaps)
+        i = int(np.argmin(scaled))
+        if scaled[i] < worst:
+            worst = float(scaled[i])
+            worst_z = Z[i].copy()
+    return worst, worst_z
 
 
 def recovery_probe(H, K, trials, seed, magnitude_mean=100.0, magnitude_sd=50.0,

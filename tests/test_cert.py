@@ -10,7 +10,7 @@ from ladsysid import (DimensionError, InputDist, LadSysIdError, Magnitude,
 from ladsysid.matgen import rng_from_seed
 from ladsysid.solver import Estimate, _as_matrix
 from oracles import (direction_grid_min_gap, gain_quadrature, gauss_toeplitz,
-                     highs_pattern_best, recovery_probe,
+                     highs_pattern_best, mc_batched_reference, recovery_probe,
                      witness_attack_defeats_lad)
 
 ONES_COLUMN = np.array([[1.0], [1.0], [1.0]])
@@ -412,6 +412,74 @@ class TestMcCertifier:
                 assert cert.witness is None
             seen[cert.verdict] += 1
         assert seen["falsified"] >= 20 and seen["unfalsified"] >= 20
+
+    @staticmethod
+    def _batched_shapes(rng):
+        """(H, K, trials) for the multi-batch oracle test: Toeplitz inputs of
+        both kinds over random sizes, supports from empty to most rows, m = 1,
+        n beyond one direction per batch, zero and subnormal support rows."""
+        entries = ladsysid.cert._BATCH_ENTRIES
+        for i in range(200):
+            n = int(np.exp(rng.uniform(np.log(20), np.log(3000))))
+            m = 1 if i % 10 == 0 else min(int(rng.integers(1, 9)), n)
+            low, high = [(0, 1), (n // 2, n + 1), (1, 4), (n // 3, n // 2 + 1),
+                         (0, n // 2 + 1)][i % 5]
+            k = min(int(rng.integers(low, max(high, low + 1))), n)
+            dist = InputDist.bernoulli_pm1() if i % 2 else InputDist.gaussian(1.0)
+            H = build_regressor(sample_input(dist, n, m, 9_000 + i), n, m)
+            size = entries // n
+            batches = int(rng.integers(2, min(60, 40_000 // size) + 1))
+            trials = size * batches - int(rng.integers(0, size))
+            yield H, sorted(rng.choice(n, size=k, replace=False).tolist()), trials
+        for i, n in enumerate((entries + 1, entries + 977)):
+            H = build_regressor(sample_input(InputDist.gaussian(1.0), n, 2 + i, i), n, 2 + i)
+            yield H, [3] if i else [], int(rng.integers(40, 61))
+        for scale in (0.0, 2.0 ** -1070):
+            H = np.array(gauss_toeplitz(300, 3, seed=12).entries)
+            H[[4, 90, 200]] *= scale
+            yield H, [4, 90, 200], 20_000
+            yield H, [4, 90, 200, 201], 20_000
+
+    def test_bit_identical_to_batched_reference(self, monkeypatch):
+        # trials span 2-60 batches, so every route past the first block runs:
+        # pruned blocks, blocks scored whole and calls that stop pruning
+        routes = {"pruned": 0, "whole": 0}
+        inner = ladsysid.cert._ProbeBound.survivors
+
+        def recorded(self, Z, worst, buf):
+            keep = inner(self, Z, worst, buf)
+            routes["whole" if keep is None else "pruned"] += 1
+            return keep
+        monkeypatch.setattr(ladsysid.cert._ProbeBound, "survivors", recorded)
+        seen = {"falsified": 0, "unfalsified": 0}
+        for i, (H, K, trials) in enumerate(self._batched_shapes(np.random.default_rng(41))):
+            cert = certify_support_mc(H, K, trials=trials, seed=i)
+            worst, z = mc_batched_reference(H, K, trials, seed=i)
+            assert cert.worst_gap == worst, (i, np.shape(H), len(K), trials)
+            assert cert.verdict == ("falsified" if worst <= 0.0 else "unfalsified")
+            if cert.verdict == "falsified":
+                assert np.array_equal(cert.witness, z), (i, np.shape(H), len(K))
+            else:
+                assert cert.witness is None
+            assert (cert.method, cert.work) == ("mc", trials)
+            seen[cert.verdict] += 1
+        assert seen["falsified"] >= 20 and seen["unfalsified"] >= 20, seen
+        assert routes["pruned"] >= 500 and routes["whole"] >= 20, routes
+
+    def test_benchmark_instance_scores_few_batches_whole(self, monkeypatch):
+        # perfbench's analysis case at seed 1: n=500, m=5, K={1,2,3}, 1e5 directions
+        H = build_regressor(sample_input(InputDist.gaussian(1.0), 500, 5, 1), 500, 5)
+        whole = []
+        inner = ladsysid.cert._abs_sums
+
+        def recorded(Z, *args):
+            whole.append(Z.shape[0])
+            return inner(Z, *args)
+        monkeypatch.setattr(ladsysid.cert, "_abs_sums", recorded)
+        cert = certify_support_mc(H, [1, 2, 3], trials=100_000, seed=1)
+        assert 4 * len(whole) < len(ladsysid.cert._batch_sizes(100_000, 500))
+        worst, _ = mc_batched_reference(H, [1, 2, 3], 100_000, seed=1)
+        assert (cert.verdict, cert.worst_gap) == ("unfalsified", worst)
 
     @pytest.mark.parametrize("dist,n,m,K,e", [
         (InputDist.gaussian(1.0), 60, 3, [0, 5, 9], -1040),

@@ -386,6 +386,15 @@ def unbounded_band(n):
     return H, y
 
 
+def odd_lead(n):
+    """Noisy +-1 input but for one 1.5 in the subsample's first column, so
+    the stage fits the subsample; its optimum still has a dual at +-1."""
+    H, y = outlier_trial(InputDist.bernoulli_pm1(), n, 1.0)
+    H = H.copy()
+    H[ladsysid.solver._subsample_rows(n, 5)[0], 0] = 1.5
+    return H, y
+
+
 def singular_subsample(n):
     """The last column is zero except on rows 1-5, which the subsample skips
     (it takes row 0 and then every 9th row or sparser), so only the
@@ -412,11 +421,12 @@ class TestBandStage:
         "fir-10000": (lambda: preset_trial("fir", 10000, 0), "accepted"),
         "fir-30000": (lambda: preset_trial("fir", 30000, 0), "accepted"),
         "noisy-pm1-10000": (lambda: outlier_trial(InputDist.bernoulli_pm1(), 10000, 1.0),
-                            "subsample non-strict"),
+                            "one magnitude"),
+        "pm1-odd-lead-10000": (lambda: odd_lead(10000), "subsample non-strict"),
         "noiseless-gaussian-10000": (lambda: outlier_trial(InputDist.gaussian(1.0), 10000, 0.0),
                                      "subsample degenerate"),
         "noiseless-pm1-10000": (lambda: outlier_trial(InputDist.bernoulli_pm1(), 10000, 0.0),
-                                "subsample degenerate"),
+                                "one magnitude"),
         "unbounded-band-10000": (lambda: unbounded_band(10000), "band degenerate_fallback"),
         "singular-subsample-10000": (lambda: singular_subsample(10000), "SingularSystemError"),
     }
@@ -435,6 +445,30 @@ class TestBandStage:
         assert est.status == full.status == "optimal"
         if route != "accepted":
             assert est.iterations == full.iterations
+
+    @pytest.mark.parametrize("n,noise_sd,seed", [(10000, 1.0, 2), (30000, 1.0, 3),
+                                              (30000, 0.0, 1)])
+    def test_one_magnitude_declines_before_the_subsample_solve(self, monkeypatch, n,
+                                                                noise_sd, seed):
+        # +-1 PRBS input: the full simplex is the only solve, and its bytes
+        # are the estimate's
+        H, y = outlier_trial(InputDist.bernoulli_pm1(), n, noise_sd, seed)
+        full = full_simplex(monkeypatch, H, y)
+        routes = band_routes(monkeypatch)
+        solves = []
+        simplex = ladsysid.solver._simplex
+
+        def recorded(A, *args, **kwargs):
+            solves.append(A.shape[0])
+            return simplex(A, *args, **kwargs)
+        monkeypatch.setattr(ladsysid.solver, "_simplex", recorded)
+        est = lad_estimate(H, y)
+        assert routes == ["one magnitude"]
+        assert solves == [n]
+        assert est.x_hat.tobytes() == full.x_hat.tobytes()
+        assert est.residuals.tobytes() == full.residuals.tobytes()
+        assert (est.objective, est.status, est.iterations) == (
+            full.objective, full.status, full.iterations)
 
     def test_engages_from_n_about_8150_at_m5(self):
         # the band, 3 ceil(sqrt(5) n^(2/3)) rows, must be at most n / 3
