@@ -22,6 +22,7 @@ expected-gain quantities that the recoverability analysis is built on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,10 +54,13 @@ SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 #: Vertices scored for the cost of one sign-pattern solve: the exact certifier
 #: enumerates vertices when C(n-|K|, m-1) <= _VERTEX_PER_LP * 2^(|K|-1).
-#: Measured at 3-9 us per vertex against 0.2-1.1 ms per sign-pattern LAD
-#: solve (n = 30..500, m = 2..5, one BLAS thread), a ratio of 20-350; 100
-#: sits in that range.  (Gaussian n=150, m=4, |K|=10: 512 pattern fits take
-#: 0.24 s where its 447,580 vertices take 1.97 s.)
+#: Measured at 0.8-3 us per vertex (3 us below ``_SCREEN_FROM`` vertices,
+#: where every vertex is SVD'd) against 0.12-0.6 ms per sign-pattern LAD fit
+#: (n = 30..500, m = 2..5, one BLAS thread), a ratio of 40-750.  100 was set
+#: when a vertex took 3-9 us (a ratio of 20-350), and is kept, as a new
+#: value would move ``method`` and ``work`` for supports near the boundary.
+#: (Gaussian n=150, m=4, |K|=10: 512 pattern fits take 0.16 s where its
+#: 447,580 vertices take 0.44 s.)
 _VERTEX_PER_LP = 100
 #: Largest |K| for the sign-pattern route (2^19 solves); the vertex route has no cap
 _PATTERN_CAP = 20
@@ -244,23 +248,170 @@ def _vertex_max(A, idx, cidx):
 
     Each vertex is the null vector of m-1 rows of H_Kbar (a degenerate
     choice of rows still yields a feasible direction), taken from a batched
-    SVD.  Returns the ratio and its direction.
+    SVD, and its ratio from the product of its whole batch; the first
+    largest ratio wins.  Returns the ratio and its direction.
+
+    Only the candidates of ``_VertexScreen`` are SVD'd: every vertex is
+    first scored from its cofactor vector, which bounds the ratio its SVD
+    vector would score, and a vertex whose bound cannot reach the running
+    best, nor the largest lower bound in its batch, can be neither its
+    batch's first maximum nor a new best.  The candidates' rows of the batch
+    then hold their SVD vectors and the other rows their cofactor vectors,
+    and the whole batch is multiplied out again: a row's product depends on
+    its own entries and its place in the batch only (see
+    ``_BATCH_ENTRIES``), and LAPACK factors each matrix of a stack on its
+    own, so every candidate scores the bits it would score if every vertex
+    were SVD'd.  A batch with no candidate is skipped.  A call with fewer
+    than ``_SCREEN_FROM`` vertices SVDs them all.
     """
     n, m = A.shape
     hc = A[cidx]
     combos = itertools.combinations(range(cidx.size), m - 1)
     sizes = _batch_sizes(math.comb(cidx.size, m - 1), n)
     buf = np.empty((max(sizes), n))
+    screen = _VertexScreen(A, idx, cidx) if sum(sizes) >= _SCREEN_FROM else None
     best, best_z = -np.inf, None
     for b in sizes:
-        rows = np.array(list(itertools.islice(combos, b)), dtype=np.intp)
-        Z = np.linalg.svd(hc[rows])[2][:, -1, :]
-        on, off = _abs_sums(Z, A, buf, idx, cidx)
-        r = on / off
+        rows = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, b)),
+                           dtype=np.intp, count=b * (m - 1)).reshape(b, m - 1)
+        if screen is None:
+            C, look = np.empty((b, m)), slice(None)
+        else:
+            C = screen.cofactors(rows)
+            hi, lo = screen.bounds(C, rows, *_abs_sums(C, A, buf, idx, cidx))
+            look = (hi >= max(best, lo.max())).nonzero()[0]
+            if not look.size:
+                continue
+        Z = np.linalg.svd(hc[rows[look]])[2][:, -1, :]
+        C[look] = Z
+        on, off = _abs_sums(C, A, buf, idx, cidx)
+        r = on[look] / off[look]
         i = int(np.argmax(r))
         if r[i] > best:
             best, best_z = float(r[i]), Z[i]
     return best, best_z
+
+
+#: dgesdd's backward error assumed by ``_VertexScreen``, in units of m^2 u
+_SVD_ERROR = 4096
+#: Fewest vertices ``_vertex_max`` screens: the screen's fixed cost, about
+#: 80 us, is that of SVDing some 40 vertices (m = 2 or 3, one BLAS thread)
+_SCREEN_FROM = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_tables(m):
+    """For each step k of the Laplace expansion in ``_VertexScreen.cofactors``,
+    the columns (k+1)-column minors expand along and the positions of their
+    k-column sub-minors, both in lexicographic order of the column sets."""
+    tables = []
+    for k in range(m - 1):
+        pos = {s: i for i, s in enumerate(itertools.combinations(range(m), k))}
+        sets = list(itertools.combinations(range(m), k + 1))
+        cols = np.array(sets, dtype=np.intp).reshape(len(sets), k + 1)
+        subs = np.array([[pos[s[:t] + s[t + 1:]] for t in range(k + 1)] for s in sets],
+                        dtype=np.intp)
+        tables.append((cols, subs))
+    return tables
+
+
+class _VertexScreen:
+    """Cofactor null vectors of the vertices' row sets and bounds on the
+    ratio their SVD vectors score.
+
+    Let M be the m-1 rows of H_Kbar (scaled to max|H| in [1, 2)) that
+    define a vertex, c its cofactor vector, c_j = (-1)^j det(M without column
+    j), so Mc = 0 and ||c|| = sigma_1 ... sigma_(m-1) of M, and c^ the c
+    computed here.  u = eps/2, g_k = k u / (1 - k u); a = sum_K ||h_i||,
+    b = sum_Kbar ||h_i|| (row 2-norms), each raised by 0.1% and n m 2^-700.
+
+    Direction error.  c^ comes from a Laplace expansion, one row at a
+    time; each step sums k + 1 rounded products, so c^_j is within g_(m^2)
+    per(|M without column j|) <= g_(m^2) Q of c_j, Q the product of M's row
+    1-norms, and ||c^ - c|| <= 1.01 sqrt(m) m^2 u Q.  The SVD vector v^ is
+    assumed to be within C u of an exact null vector of a matrix M + E with
+    ||E|| <= C u ||M||, C = ``_SVD_ERROR`` m^2.  LAPACK states its SVD's
+    error as p(m) eps ||M|| with p growing modestly; against exact rational
+    cofactors, ||z - v|| stayed below 1.1 m^2 u F^(m-1) / ||c|| (z and v as
+    below) on 3,000 matrices with m = 2-6 (Gaussian, nearly parallel and
+    half-integer rows; OpenBLAS 0.3 dgesdd, x86-64), against the 7 C u
+    F^(m-1) / ||c^|| assumed here, a margin above 10^4.  Then sin of the
+    angle between the null vectors of M and M + E is at most
+    ||E|| / sigma_(m-1)(M), and sigma_(m-1) = ||c|| / (sigma_1 ... sigma_(m-2))
+    >= ||c|| / F^(m-2), F the Frobenius norm of M.  With the sign that aligns
+    them and ||c^ - c|| <= ||c^|| / 2, the unit vectors z = v^/||v^|| and
+    w = c^/||c^|| are within d = (7 C F^(m-1) u + 4.04 sqrt(m) m^2 u Q) /
+    ||c^|| of each other; a vertex is screened only when d <= 2^-10, which
+    implies that condition on ||c^ - c||.  With ||c^|| >= 2^-300 (below),
+    underflow in c^, at most m! m 2^-1074, and inside the SVD, far below
+    u ||M|| >= u ||c||^(1/(m-1)), stays far inside d.
+
+    Ratio error.  A computed product, absolute value and sum over rows R
+    is within (g_m + 1.01 g_(n-1)) sum_R |h_i||x| <= eta ||x|| sum_R ||h_i||
+    of the true sum for any x, eta = 1.01 (n + m) u, so from on^, off^, the
+    sums scored from c^, and on_w = on^ / ||c^||, off_w = off^ / ||c^||,
+    rho = on_w / off_w, the ratio scored from v^ is at most (1 + u)(on_w +
+    a t) / (off_w - b t) = (1 + u)(rho + t (a + rho b) / (off_w - b t)),
+    t = d + 2 eta, and at least (1 - u)(rho - t (a + rho b) / off_w).  With
+    b t <= off_w / 2, r the ratio scored from c^ (within u of rho) and
+    S = 16 t (a + r b) / off_w, hi = r + S and lo = r - S bound it: b / off_w
+    >= 0.99, so S >= 60 u r, which covers the factors 1 +- u, the halved
+    denominator and the rounding of hi, lo, S and ||c^||.  Gradual
+    underflow loses at most n m 2^-1074 per sum, below u n m 2^-700 ||c^||
+    once ||c^||^2 >= 2^-600, which the n m 2^-700 in a and b covers.  A
+    vertex with ||c^||^2 < 2^-600 (c^ = 0 on a rank-deficient M, or tiny
+    rows), d > 2^-10, b t > off_w / 2 or a non-finite r gets hi = inf and
+    lo = -inf.
+    """
+
+    def __init__(self, A, idx, cidx):
+        n, m = A.shape
+        u = np.finfo(float).eps / 2
+        self.hc = A[cidx]
+        self.tables = _minor_tables(m)
+        self.signs = (-1.0) ** np.arange(m)
+        self.l1 = np.abs(self.hc).sum(axis=1)
+        self.sq = np.square(self.hc).sum(axis=1)
+        norms = np.sqrt(np.square(A).sum(axis=1))
+        tiny = n * m * 2.0 ** -700
+        self.a = 1.001 * float(norms[idx].sum()) + tiny
+        self.b = 1.001 * float(norms[cidx].sum()) + tiny
+        self.k_svd = 7.0 * _SVD_ERROR * m * m * u
+        self.k_cof = 4.04 * math.sqrt(m) * m * m * u
+        self.eta2 = 2.02 * (n + m) * u
+        self.power = (m - 1) / 2.0
+
+    def cofactors(self, rows):
+        """c for each row set, by Laplace expansion along one row at a time:
+        at m = 2 a swap, at m = 3 the cross product."""
+        P = np.ones((rows.shape[0], 1))          # the minor of no rows
+        for k, (cols, subs) in enumerate(self.tables):
+            R = self.hc[rows[:, k]]
+            acc = np.zeros((rows.shape[0], cols.shape[0]))
+            for t in range(k + 1):
+                term = R[:, cols[:, t]] * P[:, subs[:, t]]
+                if (k + t) % 2:
+                    acc -= term
+                else:
+                    acc += term
+            P = acc
+        # the minor without column j is the (m-1-j)-th set of m-1 columns
+        return P[:, ::-1] * self.signs
+
+    def bounds(self, C, rows, on, off):
+        """hi and lo for each vertex, from its c^ and the sums scored from it."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = on / off
+            cc = np.square(C).sum(axis=1)
+            norm = np.sqrt(cc)
+            d = (self.k_svd * self.sq[rows].sum(axis=1) ** self.power
+                 + self.k_cof * self.l1[rows].prod(axis=1)) / norm
+            t = d + self.eta2
+            off_w = off / norm
+            S = 16.0 * t * (self.a + r * self.b) / off_w
+            ok = ((cc >= 2.0 ** -600) & (d <= 2.0 ** -10) & (self.b * t <= 0.5 * off_w)
+                  & np.isfinite(S))
+        return np.where(ok, r + S, np.inf), np.where(ok, r - S, -np.inf)
 
 
 def _collapsed_rows(h):
@@ -328,64 +479,85 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     ``worst_gap`` does not depend on the scale of H.
 
     Only the directions that may reach the running minimum ``worst`` are
-    scored; the others are skipped, and a batch none of whose directions
-    may reach it is never multiplied out.  The first block of whole batches,
-    holding ``_PROBES`` directions or more, is scored whole.  Its first
-    ``_PROBES`` / 2 and best-scored ``_PROBES`` / 2 directions u then give
-    the probes g = H' sign(Hu).  The bound is not built for an empty K,
-    whose score it cannot cut, for n <= ``_PROBES``, where it would read as
-    many numbers per direction as full scoring does, or when fewer than 16
-    directions per probe are left.  In each later block (``_BLOCK_ENTRIES``),
-    a direction passes the probe bound when lb(z) = max_g |g'z| - slack, a
-    lower bound on ||Hz||_1 because ||Hz||_1 = max c'Hz over sign vectors
-    c, may not exceed cut(z) = (worst + 2) ||(Hz)_K||_1, up to rounding,
-    with the K part taken from the |K| support rows.  That costs
-    O(m (_PROBES + |K|)) per direction.  A direction that passes gets a
-    second look: its ||Hz||_1 from a product of its own, less the same
-    slack, against the same cut.  The directions that pass both are scored
-    exactly as a full scoring would score them.  A batch where more than a
-    quarter pass is scored whole.  When more than a quarter of a block pass
-    the probe bound, the block skips the second look and is scored whole,
-    and if that block is the first one bounded, the call scores every later
-    batch whole too.
+    normalized and scored; the others are skipped, and a batch none of whose
+    directions may reach it is never multiplied out.  The first block of
+    whole batches, holding ``_PROBES`` directions or more, is normalized and
+    scored whole.  Its first ``_PROBES`` / 2 and best-scored ``_PROBES`` / 2
+    directions u then give the probes g = H' sign(Hu).  The bound is not
+    built for an empty K, for n <= ``_PROBES``, where it would read as many
+    numbers per direction as full scoring does, or when fewer than 16
+    directions per probe are left.  In each later block (``_BLOCK_ENTRIES``), the first look
+    reads the draws z as drawn: z passes when lb(z) = max_g |g'z| - slack
+    top, a lower bound on ||Hz||_1 because ||Hz||_1 = max c'Hz over sign
+    vectors c, may not exceed cut(z) = (worst + 2) ||(Hz)_K||_1 up to
+    rounding, with the K part taken from the |K| support rows.  That costs
+    O(m (_PROBES + |K|)) per direction.  A direction that passes is normalized
+    and gets a second look: its ||Hz||_1 from a product of its own, less
+    the slack, against the cut of the normalized direction.  The directions
+    that pass both are scored exactly as a full scoring would score them.
+    A batch where more than a quarter pass is normalized and scored whole.
+    When more than a quarter of a block pass the first look, the block
+    skips the second look and is normalized and scored whole, and if that
+    block is the first one bounded, the call scores every later batch whole
+    too.
 
-    Why the bits hold.  A surviving direction's row still comes from the
-    product of its whole batch, at its place in it (see ``_BATCH_ENTRIES``);
-    its sum over K comes from the whole batch's gather (see ``_abs_sums``);
-    and its total is its row's own pairwise sum.  Its score is thus the one
-    a full scoring computes.  A skipped direction's computed score is
-    strictly above ``worst``, shown below, so it is above every later
-    ``worst`` too.  It can never be the first minimum of a batch that
-    lowers ``worst``, and the survivors keep their order.  So ``worst_gap``,
-    the verdict and the witness are those of scoring every direction.  The
-    draws are made a block at a time; one stream yields the same values.
+    Why the bits hold.  A row's norm and division read that row alone, so a
+    direction normalized with a few others, or alone, has the bits a
+    whole-block normalization gives it.  A surviving direction's row still
+    comes from the product of its whole batch, at its place in it (see
+    ``_BATCH_ENTRIES``), whose other rows need not be normalized, as a row's
+    product does not depend on the other rows' entries; its sum over K
+    comes from the whole batch's gather (see ``_abs_sums``); and its total
+    is its row's own pairwise sum.  Its score is thus the one a full scoring
+    computes.  A skipped direction's computed score is strictly above
+    ``worst``, shown below, so it is above every later ``worst`` too.  It
+    can never be the first minimum of a batch that lowers ``worst``, and the
+    survivors keep their order.  So ``worst_gap``, the verdict and the
+    witness are those of scoring every direction.  The draws are made a
+    block at a time; one stream yields the same values.
 
-    The slack.  Let u = eps/2, g_k = k u / (1 - k u), T and on the total and
-    K sum a full scoring computes, and M(z) = sum_ij |H_ij| |z_j| (M_K over
-    the rows K); these bounds hold for any order of summation, with or
-    without FMA, while (n + m) u < 0.01.  Each entry of a computed product
-    Hz is within g_m of the true one, relative to its share of M.  So T is
-    at least ||Hz||_1 - (g_m + 1.01 g_(n-1)) M, and a total from a product of
-    its own is at most ||Hz||_1 plus as much.  A computed probe is within
-    g_(n-1) |H|'1 of H'c entrywise and its product with z within
-    g_m (1 + g_(n-1)) M of g'z, so ||Hz||_1 >= |c'Hz| >= max_g |g'z| -
-    1.1 (n + m) u M.  Both lower estimates of T are thus within 2.2 (n + m)
-    u M of below T.  slack = 16 (n + m) u sum|H|, as computed, exceeds
+    The slack, for a normalized z.  Let u = eps/2, g_k = k u / (1 - k u), T
+    and on the total and K sum a full scoring computes, and M(z) = sum_ij
+    |H_ij| |z_j| (M_K over the rows K); these bounds hold for any order of
+    summation, with or without FMA, while (n + m) u < 0.01.  Each entry of a
+    computed product Hz is within g_m of the true one, relative to its share
+    of M.  So T is at least ||Hz||_1 - (g_m + 1.01 g_(n-1)) M, and a total
+    from a product of its own is at most ||Hz||_1 plus as much.  A computed
+    probe is within g_(n-1) |H|'1 of H'c entrywise and its product with z
+    within g_m (1 + g_(n-1)) M of g'z, so ||Hz||_1 >= |c'Hz| >= max_g |g'z|
+    - 1.1 (n + m) u M.  Both lower estimates of T are thus within 2.2 (n +
+    m) u M of below T.  slack = 16 (n + m) u sum|H|, as computed, exceeds
     15 (n + m) u M, as M <= sum|H| (1 + (m + 2) u) for a normalized z; that
     covers the estimates and their rounding.  On the K side, the support
     rows' sum on_p and on differ by at most 2.1 (|K| u on_p + m u M_K).
     With rel = 4 (|K| + m) u and floor = rel sum|H_K| + 2e-300, on is at
     most hi = on_p (1 + rel) + floor, and above 1e-300 whenever on_p (1 -
-    rel) > floor; where that fails, on may take the score's unscaled
-    branch, and cut is infinite.  Every computed score is at least
-    -1 - 3 n u, so worst + 2 > 0.99 and |worst| < 1.03 (worst + 2).  If
-    T >= (worst + 2)(1 + 8u) on and on > 1e-300, then x = T / on - 2 >=
-    worst + 8u (worst + 2).  The score's subtraction and division scale x
-    by 1 +- 2.01u at most, which cannot undo that margin, so the computed
-    score is above ``worst``.  cut = (worst + 2)(1 + 16u) hi, as computed,
-    is at least (worst + 2)(1 + 8u) on, so lb > cut implies it.
-    Gradual underflow loses less than 2^-1074 per product, which the slack
-    (max|H| >= 1 after the scaling) and floor's 2e-300 cover.
+    rel) > floor, so whenever on_p > floor / (1 - rel) as computed (floor's
+    2e-300 is twice the threshold, which covers that rounding); where that
+    fails, on may take the score's unscaled branch, and cut is infinite.
+    Every computed score is at least -1 - 3 n u, so worst + 2 > 0.99 and
+    |worst| < 1.03 (worst + 2).  If T >= (worst + 2)(1 + 8u) on and on >
+    1e-300, then x = T / on - 2 >= worst + 8u (worst + 2).  The score's
+    subtraction and division scale x by 1 +- 2.01u at most, which cannot
+    undo that margin, so the computed score is above ``worst``.  cut =
+    (worst + 2) grow hi, grow = 1 + 16u, computed as c (1 + rel) on_p + c
+    floor with c = (worst + 2) grow, whose five roundings stay inside
+    grow's margin, is at least (worst + 2)(1 + 8u) on, so lb > cut implies
+    it.  Gradual underflow loses less than 2^-1074 per
+    product, which the slack (max|H| >= 1 after the scaling) and floor's
+    2e-300 cover.
+
+    The first look, on z as drawn.  A full scoring scores zh = D z / nu, nu
+    the norm it computes and D diagonal within u of I (the division's
+    rounding), so nu times each entry of zh's computed product is within
+    g_(m+1) of (Hz)_i relative to its share of M(z).  Every bound above thus
+    holds between nu T and nu on, from zh, and lb(z) and on_p, from z, with
+    g_(m+1) for g_m, which the constants 16 and 4 cover.  Let top = 1.001
+    sqrt(m) max_ij |z_ij| over the block: M(z) <= sum|H| top and nu <= top,
+    so the slack and the floor are scaled by top, and both sides of lb > cut
+    scale with nu but for the 1e-300 threshold, which the scaled floor
+    covers.  A block with top below 2^-900, where underflow could outgrow
+    the slack, is scored whole.
     """
     if trials < 1:
         raise DimensionError(f"trials must be >= 1, got {trials}")
@@ -403,19 +575,21 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     most = max(1, _BLOCK_ENTRIES // max(m, _PROBES, idx.size))
     for j, block in enumerate(_blocks(sizes, _PROBES, most)):
         Zb = rng.standard_normal((sum(block), m))
-        norms = np.linalg.norm(Zb, axis=1)
-        norms[norms == 0] = 1.0
-        Zb /= norms[:, None]
         keep = bound.survivors(Zb, worst, buf) if bound else None
+        if keep is None:
+            _normalize(Zb)
         start = 0
         for b in block:
             Z = Zb[start:start + b]
             rows = None if keep is None else keep[start:start + b].nonzero()[0]
             start += b
             if rows is None or 4 * rows.size > b:
+                if rows is not None:
+                    _normalize(Z)
                 rows = slice(None)
                 on, total = _abs_sums(Z, A, buf, idx, rows)
             elif rows.size:
+                _normalize(Z, rows)
                 V = _product(Z, A, buf)
                 on = np.abs(V[:, idx]).sum(axis=1)[rows]
                 total = np.abs(V[rows]).sum(axis=1)
@@ -440,9 +614,16 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     return SupportCert(_support_tuple(idx), "unfalsified", worst, "mc", trials)
 
 
+def _normalize(Z, rows=slice(None)):
+    """Divide the rows ``rows`` of Z by their norms in place; a zero row stays zero."""
+    norms = np.linalg.norm(Z[rows], axis=1)
+    norms[norms == 0] = 1.0
+    Z[rows] /= norms[:, None]
+
+
 class _ProbeBound:
-    """The falsifier's two lower bounds on ||Hz||_1 and its upper bound on
-    ||(Hz)_K||_1; ``certify_support_mc`` derives them and their slack."""
+    """The falsifier's two lower bounds on ||Hz||_1 and its cut;
+    ``certify_support_mc`` derives them and their slack."""
 
     def __init__(self, A, idx, Z, scores):
         n, m = A.shape
@@ -450,31 +631,47 @@ class _ProbeBound:
         best = np.argsort(scores, kind="stable")[:_PROBES - _PROBES // 2]
         U = Z[np.concatenate([np.arange(min(_PROBES // 2, len(Z))), best])]
         self.A = A
-        self.probes = np.array([np.sign(A @ z) @ A for z in U])     # P x m
         self.hk = A[idx]                                             # |K| x m
+        # the probes' rows, then the support rows: one product serves both
+        self.looks = np.vstack([[np.sign(A @ z) @ A for z in U], self.hk])
+        self.probes = len(U)
         self.slack = 16.0 * (n + m) * u * float(np.abs(A).sum())
         self.rel = 4.0 * (idx.size + m) * u
         self.floor = self.rel * float(np.abs(self.hk).sum()) + 2e-300
         self.grow = 1.0 + 16.0 * u
+        self.root_m = 1.001 * math.sqrt(m)
+
+    def _passes(self, low, on, worst, scale):
+        """low <= cut(z) for each direction, where on holds its sums over
+        the support rows and ``scale`` bounds its norm."""
+        c = (worst + 2.0) * self.grow
+        floor = self.floor * scale
+        return (low <= c * (1.0 + self.rel) * on + c * floor) | (on <= floor / (1.0 - self.rel))
 
     def survivors(self, Z, worst, buf):
-        """Which rows of Z may score at most ``worst``, as a boolean mask, or
-        None when more than a quarter of them pass the probe bound."""
+        """Which rows of the draws Z, taken as drawn, may score at most
+        ``worst`` once normalized, as a boolean mask, or None when more than
+        a quarter of them pass the first look; Z is left as it is."""
+        top = self.root_m * float(max(Z.max(), -Z.min()))
+        if not top > 2.0 ** -900:
+            return None
         # each direction is a column here, so the reductions run across rows
-        W = self.probes @ Z.T
-        low = np.abs(W, out=W).max(axis=0) - self.slack
-        W = self.hk @ Z.T
-        on = np.abs(W, out=W).sum(axis=0)
-        cut = (worst + 2.0) * self.grow * (on * (1.0 + self.rel) + self.floor)
-        cut[on * (1.0 - self.rel) <= self.floor] = np.inf
-        keep = low <= cut
+        W = self.looks @ Z.T
+        np.abs(W, out=W)
+        low = W[:self.probes].max(axis=0) - self.slack * top
+        keep = self._passes(low, W[self.probes:].sum(axis=0), worst, top)
         looked = keep.nonzero()[0]
         if 4 * looked.size > keep.size:
             return None
+        Zl = Z[looked]
+        _normalize(Zl)
+        W = self.hk @ Zl.T
+        on = np.abs(W, out=W).sum(axis=0)
         for start in range(0, looked.size, buf.shape[0]):
-            rows = looked[start:start + buf.shape[0]]
-            V = _product(Z[rows], self.A, buf)
-            keep[rows] = np.abs(V, out=V).sum(axis=1) - self.slack <= cut[rows]
+            part = slice(start, start + buf.shape[0])
+            V = _product(Zl[part], self.A, buf)
+            low = np.abs(V, out=V).sum(axis=1) - self.slack
+            keep[looked[part]] = self._passes(low, on[part], worst, 1.0)
         return keep
 
 

@@ -1,6 +1,7 @@
 """Independent oracles shared by the unit and acceptance suites."""
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 
 from ladsysid import InputDist, build_regressor, lad_estimate, sample_input
-from ladsysid.cert import _batch_sizes, _unit_scaled
+from ladsysid.cert import _abs_sums, _batch_sizes, _unit_scaled
 from ladsysid.lp import solve_lp
 from ladsysid.matgen import rng_from_seed
 from ladsysid.solver import _as_matrix
@@ -90,6 +91,27 @@ def mc_batched_reference(H, K, trials, seed):
             worst = float(scaled[i])
             worst_z = Z[i].copy()
     return worst, worst_z
+
+
+def vertex_max_reference(A, idx, cidx):
+    """The exact certifier's vertex enumeration as it stood before it
+    screened vertices: every vertex's null vector from one batched SVD, each
+    batch scored whole.  Returns the largest ratio and its direction."""
+    n, m = A.shape
+    hc = A[cidx]
+    combos = itertools.combinations(range(cidx.size), m - 1)
+    sizes = _batch_sizes(math.comb(cidx.size, m - 1), n)
+    buf = np.empty((max(sizes), n))
+    best, best_z = -np.inf, None
+    for b in sizes:
+        rows = np.array(list(itertools.islice(combos, b)), dtype=np.intp)
+        Z = np.linalg.svd(hc[rows])[2][:, -1, :]
+        on, off = _abs_sums(Z, A, buf, idx, cidx)
+        r = on / off
+        i = int(np.argmax(r))
+        if r[i] > best:
+            best, best_z = float(r[i]), Z[i]
+    return best, best_z
 
 
 def recovery_probe(H, K, trials, seed, magnitude_mean=100.0, magnitude_sd=50.0,

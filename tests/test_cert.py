@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from ladsysid.matgen import rng_from_seed
 from ladsysid.solver import Estimate, _as_matrix
 from oracles import (direction_grid_min_gap, gain_quadrature, gauss_toeplitz,
                      highs_pattern_best, mc_batched_reference, recovery_probe,
-                     witness_attack_defeats_lad)
+                     vertex_max_reference, witness_attack_defeats_lad)
 
 ONES_COLUMN = np.array([[1.0], [1.0], [1.0]])
 SPIKE_COLUMN = np.array([[1.0], [0.0], [0.0]])
@@ -466,6 +468,33 @@ class TestMcCertifier:
         assert seen["falsified"] >= 20 and seen["unfalsified"] >= 20, seen
         assert routes["pruned"] >= 500 and routes["whole"] >= 20, routes
 
+    @pytest.mark.parametrize("n,m,K,dist", [
+        (40_000, 2, [7], InputDist.bernoulli_pm1()),
+        (40_000, 3, [5, 100], InputDist.gaussian(1.0))])
+    def test_pruned_blocks_score_unit_directions(self, monkeypatch, n, m, K, dist):
+        # three directions per batch, so one survivor makes a batch of a
+        # bounded block scored whole: its rows are drawn raw and must be
+        # normalized first, as the witness is a unit direction
+        pruned, whole = [], []
+        survivors, abs_sums = ladsysid.cert._ProbeBound.survivors, ladsysid.cert._abs_sums
+
+        def recorded(self, Z, worst, buf):
+            keep = survivors(self, Z, worst, buf)
+            pruned.append(keep is not None)
+            return keep
+
+        def checked(Z, *args):
+            if any(pruned):
+                whole.append(np.abs(np.linalg.norm(Z, axis=1) - 1.0).max())
+            return abs_sums(Z, *args)
+        monkeypatch.setattr(ladsysid.cert._ProbeBound, "survivors", recorded)
+        monkeypatch.setattr(ladsysid.cert, "_abs_sums", checked)
+        H = build_regressor(sample_input(dist, n, m, 3), n, m)
+        cert = certify_support_mc(H, K, trials=3000, seed=4)
+        worst, _ = mc_batched_reference(H, K, 3000, seed=4)
+        assert (cert.verdict, cert.worst_gap) == ("unfalsified", worst)
+        assert all(pruned) and len(whole) >= 20 and max(whole) < 1e-15
+
     def test_benchmark_instance_scores_few_batches_whole(self, monkeypatch):
         # perfbench's analysis case at seed 1: n=500, m=5, K={1,2,3}, 1e5 directions
         H = build_regressor(sample_input(InputDist.gaussian(1.0), 500, 5, 1), 500, 5)
@@ -511,6 +540,98 @@ class TestMcCertifier:
         assert split.worst_gap == pytest.approx(worst, rel=1e-13, abs=1e-15)
         if whole.verdict == "falsified":
             assert np.array_equal(split.witness, whole.witness)
+
+
+class TestVertexScreen:
+    """The vertex route SVDs only the vertices its cofactor screen cannot
+    rule out, and its outputs are those of SVDing every vertex."""
+
+    #: complement sizes that keep C(n - |K|, m - 1) near 2,000 or below
+    SPAN = {1: 12, 2: 400, 3: 64, 4: 24, 5: 16, 6: 14}
+
+    @classmethod
+    def _shapes(cls, rng):
+        """(A, K, batch entries) over m = 1-6, Gaussian and +-1 Toeplitz
+        inputs and six row treatments: none; repeated and negated rows,
+        which make some row sets rank deficient (c = 0); zero rows; nearly
+        parallel rows (kappa up to 1e12); rows scaled into the subnormal
+        range or near it; and half-integer entries, whose vertices tie
+        exactly.  A third of the calls cut the batches to 8-200 vertices."""
+        for i in range(264):
+            m = 1 + i % 6
+            dist = InputDist.bernoulli_pm1() if (i // 6) % 2 else InputDist.gaussian(1.0)
+            k = int(rng.integers(1, 6))
+            n = k + int(rng.integers(m + 1, cls.SPAN[m] + 1))
+            H = np.array(build_regressor(sample_input(dist, n, m, 30_000 + i), n, m).entries)
+            K = sorted(rng.choice(n, size=k, replace=False).tolist())
+            rest = np.setdiff1d(np.arange(n), K)
+            pick = rng.choice(rest, size=min(4, rest.size), replace=False)
+            kind = (i // 12) % 6
+            if kind == 1:
+                H[pick[1]] = H[pick[0]]
+                H[pick[-1]] = -H[pick[0]]
+            elif kind == 2:
+                H[pick[0]] = 0.0
+            elif kind == 3:
+                H[pick[1]] = H[pick[0]] + 10.0 ** -rng.uniform(3, 12) * rng.standard_normal(m)
+            elif kind == 4:
+                H[pick[:2]] *= 2.0 ** -int(rng.integers(1020, 1075))
+                H[K[0]] *= 2.0 ** -600
+            elif kind == 5:
+                H = np.round(2.0 * H) / 2.0
+            entries = n * int(rng.integers(8, 201)) if i % 3 == 0 else None
+            yield ladsysid.cert._unit_scaled(H), K, entries
+
+    def test_bit_identical_to_vertex_reference(self, monkeypatch):
+        seen = {"shapes": 0, "screened": 0, "svd": 0, "weak": 0, "batches": 0}
+        inner = ladsysid.cert._VertexScreen.bounds
+
+        def recorded(self, C, rows, on, off):
+            hi, lo = inner(self, C, rows, on, off)
+            seen["weak"] += int(np.isinf(hi).sum())
+            seen["batches"] += 1
+            return hi, lo
+        monkeypatch.setattr(ladsysid.cert._VertexScreen, "bounds", recorded)
+        svd = np.linalg.svd
+
+        def counted(M, *args, **kwargs):
+            seen["svd"] += M.shape[0]
+            return svd(M, *args, **kwargs)
+        for A, K, entries in self._shapes(np.random.default_rng(19)):
+            n, m = A.shape
+            idx = np.array(K)
+            cidx = np.setdiff1d(np.arange(n), idx)
+            if np.linalg.matrix_rank(A) < m or np.linalg.matrix_rank(A[cidx]) < m:
+                continue           # certify_support_exact decides these before enumerating
+            monkeypatch.setattr(ladsysid.cert, "_BATCH_ENTRIES", entries or 131_072)
+            # a vertex that puts only subnormal rows outside its own may
+            # overflow its ratio to inf, in both
+            with np.errstate(over="ignore"):
+                best, z = vertex_max_reference(A, idx, cidx)
+                monkeypatch.setattr(np.linalg, "svd", counted)
+                got, w = ladsysid.cert._vertex_max(A, idx, cidx)
+                monkeypatch.setattr(np.linalg, "svd", svd)
+            assert got == best, (n, m, K, entries)
+            assert w.tobytes() == z.tobytes(), (n, m, K, entries)
+            seen["shapes"] += 1
+            seen["screened"] += math.comb(cidx.size, m - 1)
+        assert seen["shapes"] >= 200, seen
+        assert seen["batches"] >= 300 and seen["weak"] >= 1000, seen
+        assert seen["svd"] < seen["screened"] / 2, seen
+
+    def test_analysis_case_svds_few_vertices(self, monkeypatch):
+        # the analysis benchmark's n=60 case: 1,431 vertices, one batch
+        rows = []
+        svd = np.linalg.svd
+
+        def counted(M, *args, **kwargs):
+            rows.append(M.shape[0])
+            return svd(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cert = certify_support_exact(gauss_toeplitz(60, 3, seed=0), [0, 12, 24, 35, 47, 59])
+        assert (cert.verdict, cert.method, cert.work) == ("certified", "vertices", 1431)
+        assert f"{cert.worst_gap:.6f}" == "0.805373"
+        assert len(rows) == 1 and rows[0] <= 4, rows
 
 
 class TestBatchSizes:
