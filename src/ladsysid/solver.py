@@ -42,29 +42,36 @@ At large n, ``lad_estimate`` first tries a band of rows (Portnoy & Koenker,
 "The Gaussian hare and the Laplacian tortoise", Statistical Science 12(4),
 1997): an l1 fit is decided by the rows near it, and every other row enters
 only through its sign.  With s = ceil(sqrt(m) n^(2/3)), it engages when the
-band of b = 3s rows is at most n/3 (n of about 8,150 and up at m = 5).  It
-fits the strided subsample of s evenly spread rows (no random draw), keeps
-the b rows with the smallest |y - A x_s|, folds every other row i into the
-fixed gradient g0 = sum sign(r_i) a_i, and runs this simplex on the band,
-with g0 added to its prices, from the subsample's basis.  The band's basis B
-is accepted only if, on all n rows, (a) every folded row keeps its sign, (b)
-no residual off B is within the zero tolerance and (c) max|lambda| < 1 - 1e-9
-for lambda = A_B^-T A' sigma, with sigma = sign(r) off B.  (a) is the cheap
-test that the band problem was the right one.  (b) and (c), taken with the
-true signs of all n rows, make B the unique and nondegenerate optimum, which
-is the vertex the full simplex stops at too: it stops at the first vertex
-whose |lambda| are all within 1 + OPT_TOL, and only a near-tie, some |lambda|
-in (1, 1 + OPT_TOL] at another vertex on its path, could stop it elsewhere
-(none was seen in the tests).  x, the residuals and the objective are then
-computed by the same calls on the same rows as the full simplex's, so they
-agree with it bit for bit.  Otherwise, or when the subsample's first
-column has one magnitude (+-1 input, whose subsample optimum had a dual at
-+-1 on every instance tried), when the subsample's optimum is itself
-degenerate or non-strict, when a band-stage solve ends other than optimal
-(g0 can make the band unbounded), or when it raises a typed error or
-LinAlgError, the full simplex runs from the geqp3 basis of all n rows, as it
-did without the band stage.  ``Estimate.iterations`` counts the subsample's
-and the band's pivots on the band route, and the full simplex's otherwise.
+band of b = 3s rows is at most n/2 (n of about 2,400 and up at m = 5) and
+n m^2 >= 12,000, which binds at m <= 2, where the band pays off later.  It
+fits the strided subsample of s evenly spread rows (no random draw) as a
+pilot, stopped after ceil(0.2 m s^(1/3)) pivots (13 at n = 30,000), since
+the pilot only picks the band and its start; keeps the b rows with the
+smallest |y - A x_s|; folds every other row i into the fixed gradient
+g0 = sum sign(r_i) a_i; and runs this simplex on the band, with g0 added to
+its prices, from the pilot's basis.  Folded rows on the wrong side of the
+band's basis B join the band and leave g0, and the band simplex resumes from
+B (Portnoy and Koenker's repair), as long as the band stays within n/2 rows.
+B is accepted only if, on all n rows, (a) every folded row keeps its sign,
+(b) no residual off B is within the zero tolerance and (c)
+max|lambda| < 1 - 1e-9 for lambda = A_B^-T A' sigma, with sigma = sign(r)
+off B.  (a) is the test that the band problem was the right one.  (b) and
+(c), taken with the true signs of all n rows, make B the unique and
+nondegenerate optimum, which is the vertex the full simplex stops at too: it
+stops at the first vertex whose |lambda| are all within 1 + OPT_TOL, and
+only a near-tie, some |lambda| in (1, 1 + OPT_TOL] at another vertex on its
+path, could stop it elsewhere (none was seen in the tests).  x, the
+residuals and the objective are then computed by the same calls on the same
+rows as the full simplex's, so they agree with it bit for bit.  Otherwise,
+or when the subsample's first column has one magnitude (+-1 input, whose
+subsample optimum had a dual at +-1 on every instance tried), when a pilot
+that converged within its cap sits at a degenerate or non-strict optimum,
+when a repair would take the band past n/2 rows, when a band-stage solve ends
+other than optimal (g0 can make the band unbounded), or when it raises a
+typed error or LinAlgError, the full simplex runs from the geqp3 basis of all
+n rows, as it did without the band stage.  ``Estimate.iterations`` counts
+the pilot's and every band solve's pivots on the band route, and the full
+simplex's otherwise.
 
 Each pivot solves three m x m systems (the prices, the edge direction and the
 new vertex) with ``_native.solve``, inside one ``SOLVE_ERRSTATE`` per
@@ -482,9 +489,15 @@ def _simplex(A: np.ndarray, y: np.ndarray, basis: np.ndarray, ztol: float,
     return _Fit(basis, x, r, status, it)
 
 
-#: the band stage keeps _BAND_MULTIPLE times as many rows as it subsamples,
-#: and engages only when that band is at most 1/_BAND_MULTIPLE of the rows
+#: the band stage keeps _BAND_MULTIPLE times as many rows as it subsamples
 _BAND_MULTIPLE = 3
+#: the band, repaired rows included, may hold at most n / _BAND_SHARE rows
+_BAND_SHARE = 2
+#: the band route's passes over all n rows pay off only from n m^2 of about
+#: this on (measured: n of about 10,000 at m = 1, 3,000 at m = 2, 1,300 at m = 3)
+_BAND_MIN_NM2 = 12_000
+#: the subsample fit stops after _PILOT_PIVOTS * m * s^(1/3) pivots (s rows)
+_PILOT_PIVOTS = 0.2
 #: the strictness margin: a vertex is accepted only when max|lambda| is below
 #: 1 - _STRICT, far from the simplex's own optimality tolerance
 _STRICT = 1e-9
@@ -494,9 +507,10 @@ def _subsample_rows(n: int, m: int) -> np.ndarray | None:
     """The rows the band stage fits first: ceil(sqrt(m) n^(2/3)) of them,
     spread evenly over 0..n-1 (row 0 first, then every ~n/size-th row).
     None when the band, ``_BAND_MULTIPLE`` times as many rows, would exceed
-    n / ``_BAND_MULTIPLE``: the stage does not engage."""
+    n / ``_BAND_SHARE``, or when n m^2 < ``_BAND_MIN_NM2``: the stage does
+    not engage."""
     size = math.ceil(math.sqrt(m) * n ** (2.0 / 3.0))
-    if _BAND_MULTIPLE ** 2 * size > n:
+    if _BAND_SHARE * _BAND_MULTIPLE * size > n or n * m * m < _BAND_MIN_NM2:
         return None
     return np.arange(size) * n // size
 
@@ -523,56 +537,77 @@ def _band_stage(A: np.ndarray, y: np.ndarray, rows: np.ndarray, ztol: float,
     """The full simplex's last vertex found from a band of rows, or the reason
     the band stage declined, for ``lad_estimate`` to fall back on.
 
-    Fits the subsample ``rows``, keeps the band of ``_BAND_MULTIPLE`` times as
-    many rows with the smallest |y - A x_s| (the subsample's basis among
-    them), folds every other row i into g0 = sum sign(r_i) a_i, and runs the
-    simplex on the band with g0 added to its prices, from the subsample's
-    basis.  The band's basis B is accepted only when, on all n rows, (a)
+    A pilot fit of the s subsample ``rows``, stopped at its optimum or after
+    ceil(``_PILOT_PIVOTS`` m s^(1/3)) pivots, picks the band and its start:
+    the ``_BAND_MULTIPLE`` times as many rows with the smallest |y - A x_s|
+    (the pilot's basis among them).  Every other row i is folded into
+    g0 = sum sign(r_i) a_i, and the simplex runs on the band with g0 added to
+    its prices, from the pilot's basis.  When its basis B leaves some folded
+    rows on the other side, those rows join the band and leave g0, and the
+    band simplex resumes from B (Portnoy and Koenker's repair); the stage
+    declines as ``sign flip`` only when the band would then hold more than
+    n / ``_BAND_SHARE`` rows.  B is accepted only when, on all n rows, (a)
     every folded row keeps its sign and ``_vertex_fault`` finds (b) no zero
     residual off B and (c) max|lambda| < 1 - _STRICT.  x and r are then
-    computed from B by the same calls as the full simplex's.  Runs inside
-    the caller's ``SOLVE_ERRSTATE``; a typed error or LinAlgError declines.
-    It declines at once, as ``one magnitude``, when every entry of the
-    subsample's first column has the same |value|, as +-1 PRBS input gives:
-    on every such instance tried, the subsample's duals landed on +-1 and
-    the stage declined after the subsample solve, as ``subsample
-    non-strict`` or ``subsample degenerate``.
+    computed from B by the same calls as the full simplex's.  ``max_iter``
+    caps the pilot's and every band solve's pivots together.
+
+    Runs inside the caller's ``SOLVE_ERRSTATE``; a typed error or LinAlgError
+    declines.  A pilot that reaches its optimum within the cap declines, as
+    ``subsample degenerate`` or ``subsample non-strict``, when that optimum
+    is degenerate or non-strict.  The stage declines at once, as ``one
+    magnitude``, when every entry of the subsample's first column has the
+    same |value|, as +-1 PRBS input gives: on every such instance tried, the
+    subsample's optimum had its duals on +-1.
     """
+    n, m = A.shape
     width = _BAND_MULTIPLE * rows.size
     try:
         A_s, y_s = A[rows], y[rows]
         lead = np.abs(A_s[:, 0])
         if (lead == lead[0]).all():
             return "one magnitude"
-        sub = _simplex(A_s, y_s, _initial_basis(A_s), ztol, max_iter)
-        if sub.status != "optimal":
-            return "subsample " + sub.status
-        fault = _vertex_fault(A_s, sub.basis, sub.r, ztol)
-        if fault:
-            return "subsample " + fault
-        start = rows[sub.basis]
-        r = y - A @ sub.x
+        cap = min(max_iter, math.ceil(_PILOT_PIVOTS * m * rows.size ** (1.0 / 3.0)))
+        pilot = _simplex(A_s, y_s, _initial_basis(A_s), ztol, cap)
+        if pilot.status == "optimal":
+            fault = _vertex_fault(A_s, pilot.basis, pilot.r, ztol)
+            if fault:
+                return "subsample " + fault
+        elif pilot.status != "iteration_limit":
+            return "subsample " + pilot.status
+        basis = rows[pilot.basis]
+        r = y - A @ pilot.x
         dist = np.abs(r)
-        dist[start] = -1.0      # the band starts from the subsample's basis
+        dist[basis] = -1.0      # the band starts from the pilot's basis
         band = np.sort(np.argpartition(dist, width)[:width])
         fold = np.where(r >= 0, 1.0, -1.0)
         fold[band] = 0.0
-        fit = _simplex(A[band], y[band], np.searchsorted(band, start), ztol,
-                       max_iter - sub.iterations, g0=A.T @ fold)
-        if fit.status != "optimal":
-            return "band " + fit.status
-        basis = band[fit.basis]
-        x = solve(A[basis], y[basis])
-        r = np.empty_like(y)
-        np.subtract(y, np.matmul(A, x, out=r), out=r)
-        if not (fold * r >= 0.0).all():
-            return "sign flip"
+        g0 = A.T @ fold
+        pivots = pilot.iterations
+        while True:
+            fit = _simplex(A[band], y[band], np.searchsorted(band, basis), ztol,
+                           max_iter - pivots, g0=g0)
+            pivots += fit.iterations
+            if fit.status != "optimal":
+                return "band " + fit.status
+            basis = band[fit.basis]
+            x = solve(A[basis], y[basis])
+            r = np.empty_like(y)
+            np.subtract(y, np.matmul(A, x, out=r), out=r)
+            flipped = (fold * r < 0.0).nonzero()[0]
+            if flipped.size == 0:
+                break
+            if _BAND_SHARE * (band.size + flipped.size) > n:
+                return "sign flip"
+            g0 -= fold[flipped] @ A[flipped]
+            fold[flipped] = 0.0
+            band = np.union1d(band, flipped)
         fault = _vertex_fault(A, basis, r, ztol)
         if fault:
             return fault
     except (LadSysIdError, np.linalg.LinAlgError) as exc:
         return type(exc).__name__
-    return _Fit(basis, x, r, "optimal", sub.iterations + fit.iterations)
+    return _Fit(basis, x, r, "optimal", pivots)
 
 
 def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
@@ -583,9 +618,10 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     returned vertex is one deterministic element of it.  A NaN or inf in H
     or y raises DimensionError, as does a residual sum beyond the float
     range; a basis that turns out singular raises numpy's LinAlgError.
-    When n is at least 9 times the band stage's subsample, ``_band_stage``
-    runs first; ``max_iter`` then caps its two solves together, and the full
-    simplex, run when it declines, gets all of ``max_iter`` again.
+    When n is at least 6 times the band stage's subsample and n m^2 is at
+    least 12,000, ``_band_stage`` runs first; ``max_iter`` then caps the pilot's and all band solves'
+    pivots together, ``iterations`` counts them, and the full simplex, run
+    when the stage declines, gets all of ``max_iter`` again and counts alone.
     """
     A, y = _checked_inputs(H, y)
     n, m = A.shape

@@ -58,15 +58,34 @@ def routed_check(lps, A, zero_mask, grad_nz):
     return got, "lp" if len(lps) > before else "witness" if got else "separator"
 
 
+def simplex_runs(monkeypatch):
+    """Wrap ``solver._simplex``; the returned list gets each run's row count,
+    status and pivots."""
+    runs = []
+    inner = ladsysid.solver._simplex
+
+    def recorded(A, *args, **kwargs):
+        fit = inner(A, *args, **kwargs)
+        runs.append((A.shape[0], fit.status, fit.iterations))
+        return fit
+    monkeypatch.setattr(ladsysid.solver, "_simplex", recorded)
+    return runs
+
+
 def band_routes(monkeypatch):
     """Wrap ``solver._band_stage``; the returned list gets each call's route:
-    ``accepted``, or the reason the stage declined."""
+    ``accepted``, ``repaired`` when it was accepted after folded rows joined
+    the band (more simplex runs than the pilot's and one band's), or the
+    reason the stage declined."""
     routes = []
     inner = ladsysid.solver._band_stage
+    runs = simplex_runs(monkeypatch)
 
     def recorded(*args):
+        before = len(runs)
         fit = inner(*args)
-        routes.append(fit if isinstance(fit, str) else "accepted")
+        routes.append(fit if isinstance(fit, str)
+                      else "repaired" if len(runs) - before > 2 else "accepted")
         return fit
     monkeypatch.setattr(ladsysid.solver, "_band_stage", recorded)
     return routes
@@ -300,32 +319,40 @@ class TestLeavingRowSelection:
 
 
 class TestLargeN:
-    """Three n=3000 consistency trials; iterations and x_hat bytes are frozen
-    from the ratio test as it stood with a full stable argsort per pivot."""
+    """Three n=3000 consistency trials; the full simplex's iterations and
+    x_hat bytes are frozen from the ratio test as it stood with a full stable
+    argsort per pivot.  The public path takes the band route, whose pivots
+    are the pilot's and the band's, and returns the same bytes."""
 
     FROZEN = [
-        (23, "fce60826e67317f534ca0511720141a82ffef5999cdb2987872c54c70a98a3bb"),
-        (21, "76dfa0b647036d7b8aba7afd31a99e23852a9763af61463a9c4f5976bf32891b"),
-        (26, "7a6fc1cb01431b0f3501ba2e3cd090e60ccf2da4e686d0d72e4c193580a5092a"),
+        (23, 25, "fce60826e67317f534ca0511720141a82ffef5999cdb2987872c54c70a98a3bb"),
+        (21, 26, "76dfa0b647036d7b8aba7afd31a99e23852a9763af61463a9c4f5976bf32891b"),
+        (26, 25, "7a6fc1cb01431b0f3501ba2e3cd090e60ccf2da4e686d0d72e4c193580a5092a"),
     ]
 
     @pytest.mark.parametrize("trial", range(3))
-    def test_consistency_gaussian_n3000(self, trial):
+    def test_consistency_gaussian_n3000(self, monkeypatch, trial):
         H, x, e, w = _draw_trial(consistency_scenario("gaussian", 3000),
                                  derive_seed(0, 0, trial))
         y = H.entries @ x + e + w
+        iterations, band_iterations, digest = self.FROZEN[trial]
+        full = full_simplex(monkeypatch, H, y)
+        assert full.iterations == iterations
+        assert hashlib.sha256(full.x_hat.tobytes()).hexdigest() == digest
+        routes = band_routes(monkeypatch)
         est = lad_estimate(H, y)
+        assert routes == ["accepted"]
         assert est.status == "optimal"
         assert est.objective == pytest.approx(highs_lad_objective(H, y), rel=1e-9)
-        iterations, digest = self.FROZEN[trial]
-        assert est.iterations == iterations
+        assert est.iterations == band_iterations
         assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
 
     def test_consistency_gaussian_n30000(self, monkeypatch):
         # frozen from the full simplex with a partition-selected ratio test
         # prefix and one LAPACK geqp3 call (the pivoted QR of scipy.linalg.qr)
-        # for the initial basis.  The band stage declines on this trial (a
-        # folded row changes sign), so the public path is that simplex too.
+        # for the initial basis.  On the public path a folded row changes
+        # sign; it joins the band, and the band simplex resumes to the same
+        # vertex: 13 pilot pivots, 23 band pivots and 6 after the repair.
         H, x, e, w = _draw_trial(consistency_scenario("gaussian", 30000), derive_seed(0, 0, 0))
         y = H.entries @ x + e + w
         digest = "87bdd6c12ea82e1ad536982c5135d3274ff146ace076d515455a2bb54ffaea0a"
@@ -334,14 +361,14 @@ class TestLargeN:
         assert hashlib.sha256(full.x_hat.tobytes()).hexdigest() == digest
         routes = band_routes(monkeypatch)
         est = lad_estimate(H, y)
-        assert routes == ["sign flip"]
+        assert routes == ["repaired"]
         assert est.status == "optimal"
         assert est.objective == pytest.approx(highs_lad_objective(H, y), rel=1e-9)
-        assert est.iterations == 27
+        assert est.iterations == 42
         assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
 
     def test_consistency_gaussian_n30000_band_route(self, monkeypatch):
-        # the next trial takes the band route: its pivots are the subsample's
+        # the next trial takes the band route: its pivots are the pilot's
         # and the band's, and x_hat is the full simplex's (frozen from it)
         H, x, e, w = _draw_trial(consistency_scenario("gaussian", 30000), derive_seed(0, 0, 1))
         y = H.entries @ x + e + w
@@ -353,7 +380,7 @@ class TestLargeN:
         est = lad_estimate(H, y)
         assert routes == ["accepted"]
         assert est.status == "optimal"
-        assert est.iterations == 42
+        assert est.iterations == 39
         assert hashlib.sha256(est.x_hat.tobytes()).hexdigest() == digest
 
 
@@ -386,18 +413,27 @@ def unbounded_band(n):
     return H, y
 
 
-def odd_lead(n):
+def odd_lead(n, seed=0):
     """Noisy +-1 input but for one 1.5 in the subsample's first column, so
-    the stage fits the subsample; its optimum still has a dual at +-1."""
-    H, y = outlier_trial(InputDist.bernoulli_pm1(), n, 1.0)
+    the stage fits the subsample; the optimum of a converged pilot still has
+    a dual at +-1."""
+    H, y = outlier_trial(InputDist.bernoulli_pm1(), n, 1.0, seed)
     H = H.copy()
     H[ladsysid.solver._subsample_rows(n, 5)[0], 0] = 1.5
     return H, y
 
 
+def two_magnitudes(n, m, seed):
+    """Entries of +-1 and +-2: the pilot reaches its optimum within its cap,
+    at a dual of exactly +-1."""
+    rng = np.random.default_rng(seed)
+    H = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, m))
+    return H, H @ rng.standard_normal(m) + rng.standard_normal(n)
+
+
 def singular_subsample(n):
     """The last column is zero except on rows 1-5, which the subsample skips
-    (it takes row 0 and then every 9th row or sparser), so only the
+    (it takes row 0 and then every 6th row or sparser), so only the
     subsample is rank deficient."""
     rng = np.random.default_rng(1)
     H = rng.standard_normal((n, 5))
@@ -412,17 +448,22 @@ class TestBandStage:
     one of these inputs."""
 
     CASES = {
-        "gaussian-10000": (lambda: preset_trial("gaussian", 10000, 0), "sign flip"),
-        "gaussian-30000": (lambda: preset_trial("gaussian", 30000, 2), "accepted"),
+        "gaussian-2418": (lambda: preset_trial("gaussian", 2418, 2), "sign flip"),
+        "gaussian-3000": (lambda: preset_trial("gaussian", 3000, 0), "accepted"),
+        "gaussian-10000": (lambda: preset_trial("gaussian", 10000, 0), "repaired"),
+        "gaussian-30000": (lambda: preset_trial("gaussian", 30000, 2), "repaired"),
+        "gaussian-300000": (lambda: preset_trial("gaussian", 300000, 2), "repaired"),
         "gamma-10000": (lambda: preset_trial("gamma", 10000, 0), "accepted"),
-        "gamma-30000": (lambda: preset_trial("gamma", 30000, 0), "accepted"),
+        "gamma-30000": (lambda: preset_trial("gamma", 30000, 0), "repaired"),
         "exponential-10000": (lambda: preset_trial("exponential", 10000, 0), "accepted"),
         "exponential-30000": (lambda: preset_trial("exponential", 30000, 0), "accepted"),
         "fir-10000": (lambda: preset_trial("fir", 10000, 0), "accepted"),
         "fir-30000": (lambda: preset_trial("fir", 30000, 0), "accepted"),
         "noisy-pm1-10000": (lambda: outlier_trial(InputDist.bernoulli_pm1(), 10000, 1.0),
                             "one magnitude"),
-        "pm1-odd-lead-10000": (lambda: odd_lead(10000), "subsample non-strict"),
+        "pm1-odd-lead-10000": (lambda: odd_lead(10000), "accepted"),
+        "pm1-odd-lead-10000-seed3": (lambda: odd_lead(10000, 3), "non-strict"),
+        "two-magnitudes-5000": (lambda: two_magnitudes(5000, 2, 0), "subsample non-strict"),
         "noiseless-gaussian-10000": (lambda: outlier_trial(InputDist.gaussian(1.0), 10000, 0.0),
                                      "subsample degenerate"),
         "noiseless-pm1-10000": (lambda: outlier_trial(InputDist.bernoulli_pm1(), 10000, 0.0),
@@ -443,8 +484,40 @@ class TestBandStage:
         assert est.residuals.tobytes() == full.residuals.tobytes()
         assert est.objective == full.objective
         assert est.status == full.status == "optimal"
-        if route != "accepted":
+        if route not in ("accepted", "repaired"):
             assert est.iterations == full.iterations
+
+    def test_capped_pilot_is_accepted(self, monkeypatch):
+        # the pilot stops at its cap, ceil(0.2 * 5 * 2159^(1/3)) = 13 pivots,
+        # short of the subsample's optimum; the band still finds the vertex
+        H, y = preset_trial("gaussian", 30000, 1)
+        rows = ladsysid.solver._subsample_rows(30000, 5)
+        with np.errstate(**ladsysid.solver.SOLVE_ERRSTATE):
+            A_s = H.entries[rows]
+            ztol = ladsysid.solver.ZERO_TOL * float(np.abs(y).max())
+            converged = ladsysid.solver._simplex(
+                A_s, y[rows], ladsysid.solver._initial_basis(A_s), ztol, 10**6)
+        assert converged.status == "optimal" and converged.iterations > 13
+        full = full_simplex(monkeypatch, H, y)
+        routes = band_routes(monkeypatch)
+        runs = simplex_runs(monkeypatch)
+        est = lad_estimate(H, y)
+        assert routes == ["accepted"]
+        assert runs[0] == (rows.size, "iteration_limit", 13)
+        assert est.x_hat.tobytes() == full.x_hat.tobytes()
+        assert est.residuals.tobytes() == full.residuals.tobytes()
+
+    def test_repair_declines_at_the_bound(self, monkeypatch):
+        # n = 2418 is the smallest n that engages: the band holds n / 2 rows,
+        # so the first folded row that flips would take it past the bound
+        H, y = preset_trial("gaussian", 2418, 2)
+        assert ladsysid.solver._subsample_rows(2418, 5).size * 3 == 2418 // 2
+        routes = band_routes(monkeypatch)
+        runs = simplex_runs(monkeypatch)
+        lad_estimate(H, y)
+        assert routes == ["sign flip"]
+        # the pilot, one band solve and the full simplex: no repair round
+        assert [rows for rows, _, _ in runs] == [403, 1209, 2418]
 
     @pytest.mark.parametrize("n,noise_sd,seed", [(10000, 1.0, 2), (30000, 1.0, 3),
                                               (30000, 0.0, 1)])
@@ -455,25 +528,25 @@ class TestBandStage:
         H, y = outlier_trial(InputDist.bernoulli_pm1(), n, noise_sd, seed)
         full = full_simplex(monkeypatch, H, y)
         routes = band_routes(monkeypatch)
-        solves = []
-        simplex = ladsysid.solver._simplex
-
-        def recorded(A, *args, **kwargs):
-            solves.append(A.shape[0])
-            return simplex(A, *args, **kwargs)
-        monkeypatch.setattr(ladsysid.solver, "_simplex", recorded)
+        runs = simplex_runs(monkeypatch)
         est = lad_estimate(H, y)
         assert routes == ["one magnitude"]
-        assert solves == [n]
+        assert [rows for rows, _, _ in runs] == [n]
         assert est.x_hat.tobytes() == full.x_hat.tobytes()
         assert est.residuals.tobytes() == full.residuals.tobytes()
         assert (est.objective, est.status, est.iterations) == (
             full.objective, full.status, full.iterations)
 
-    def test_engages_from_n_about_8150_at_m5(self):
-        # the band, 3 ceil(sqrt(5) n^(2/3)) rows, must be at most n / 3
-        assert ladsysid.solver._subsample_rows(8150, 5) is None
-        assert ladsysid.solver._subsample_rows(8200, 5).size == 910
+    def test_engages_from_n_about_2400_at_m5(self):
+        # the band, 3 ceil(sqrt(5) n^(2/3)) rows, must be at most n / 2
+        assert ladsysid.solver._subsample_rows(2417, 5) is None
+        assert ladsysid.solver._subsample_rows(2418, 5).size == 403
+
+    @pytest.mark.parametrize("m,n", [(1, 12000), (2, 3000)])
+    def test_engages_from_n_m2_of_12000_at_small_m(self, m, n):
+        # there the band is within n / 2 long before it pays
+        assert ladsysid.solver._subsample_rows(n - 1, m) is None
+        assert ladsysid.solver._subsample_rows(n, m) is not None
 
 
 class TestNoiselessSweepGolden:
