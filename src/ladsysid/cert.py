@@ -32,11 +32,11 @@ import numpy as np
 
 from .errors import (DimensionError, LadSysIdError, SingularSystemError,
                      SupportSizeError)
-# not called here: perfbench's tracer wraps the name cert.solve_lp, so it stays
-from .lp import solve_lp  # noqa: F401
 from .matgen import (InputDist, Magnitude, build_regressor, derive_seed,
                      rng_from_seed, sample_input)
-from .solver import _as_matrix, _unit_shift, lad_estimate
+# solve_lp is not called here: perfbench's tracer wraps the name cert.solve_lp
+from .solver import (_as_matrix, _collapsed_rows, _l1_min, _unit_shift,  # noqa: F401
+                     lad_estimate, solve_lp)
 from .threshold import normal_sf
 
 __all__ = [
@@ -104,6 +104,15 @@ class SupportCert:
 
 
 def _support_array(K, n: int) -> np.ndarray:
+    """The distinct indices of K, sorted.  DimensionError on an index outside
+    0..n-1, on a bool, or on a number that is not integral: 3.0 is row 3, as
+    ``matgen._coerce`` takes k, and 1.5 is an error rather than row 1."""
+    K = list(K)
+    for i in K:
+        if isinstance(i, (bool, np.bool_)) or not (
+                isinstance(i, (int, np.integer))
+                or isinstance(i, (float, np.floating)) and float(i).is_integer()):
+            raise DimensionError(f"support indices must be integers, got {i!r}")
     idx = np.asarray(sorted(set(int(i) for i in K)), dtype=int)
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise DimensionError(f"support indices must lie in 0..{n - 1}")
@@ -414,34 +423,23 @@ class _VertexScreen:
         return np.where(ok, r + S, np.inf), np.where(ok, r - S, -np.inf)
 
 
-def _collapsed_rows(h):
-    """The nonzero rows of h that differ up to sign, each times its
-    multiplicity: ||h z||_1 is their l1 sum for every z, as c |r'z| = |c r'z|."""
-    h = h[h.any(axis=1)]
-    lead = h[np.arange(h.shape[0]), (h != 0.0).argmax(axis=1)]
-    rows, counts = np.unique(h * np.sign(lead)[:, None], axis=0, return_counts=True)
-    return rows * counts[:, None]
-
-
 def _pattern_max(A, idx, cidx):
     """Largest ratio over the sign patterns of (Hz)_K, one l1 regression each.
 
     For pattern sigma, max sigma'(Hz)_K over ||(Hz)_Kbar||_1 <= 1 is
-    1 / min{||H_Kbar z||_1 : g'z = 1}, g = H_K' sigma.  With j the first
-    argmax of |g| and g divided by |g_j|, so that g_j = s = +-1 exactly, the
-    constraint fixes z_j = s (1 - g_r'z_r) over the other coordinates r, and
-    the minimum is the LAD fit of -s H_Kbar[:, j] by
-    B = H_Kbar[:, r] - s H_Kbar[:, j] g_r', which has full column rank
-    whenever H_Kbar has; for m = 1, z = (s).  A pattern with g = 0 is skipped
-    before solving: its ratio is 0.  Rows of H_Kbar equal up to sign are
-    first collapsed into one row times their count, which is exact and
-    spares LAD the degenerate pivots of repeated rows (a +-1 Toeplitz H with
-    m = 5 has at most 16 rows up to sign).  The ratio is recomputed from
-    each z.
+    1 / min{||H_Kbar z||_1 : g'z = 1}, g = H_K' sigma.  ``_l1_min`` finds
+    that minimum's direction by eliminating the coordinate where |g| peaks,
+    which leaves one LAD fit with m - 1 unknowns (none for m = 1) whose
+    matrix has full column rank whenever H_Kbar has.  A pattern with g = 0
+    is skipped before solving: its ratio is 0.  Rows of H_Kbar equal up to
+    sign are first collapsed into one row times their count, which is exact
+    and spares LAD the degenerate pivots of repeated rows (a +-1 Toeplitz H
+    with m = 5 has at most 16 rows up to sign).  The ratio is recomputed
+    from each z.
     Returns the ratio and its direction.
     """
-    n, m = A.shape
-    hk, hc = A[idx], _collapsed_rows(A[cidx])
+    n = A.shape[0]
+    hk, hc = A[idx], _collapsed_rows(A[cidx])[0]
     buf = np.empty((1, n))
     best, best_z = 0.0, None       # the ratio is never negative
     for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
@@ -449,17 +447,9 @@ def _pattern_max(A, idx, cidx):
         j = int(np.abs(g).argmax())
         if g[j] == 0.0:
             continue               # H_K' sigma = 0: ratio 0
-        g /= abs(g[j])
-        s = g[j]
-        z = np.full(m, s)
-        if m > 1:
-            rest = np.arange(m) != j
-            hj = hc[:, j]
-            est = lad_estimate(hc[:, rest] - s * np.outer(hj, g[rest]), -s * hj)
-            if est.status != "optimal":
-                raise LadSysIdError(f"sign-pattern LAD solve ended with status {est.status}")
-            z[rest] = est.x_hat
-            z[j] = s * (1.0 - g[rest] @ est.x_hat)
+        z, est = _l1_min(hc, g, lad_estimate)[:2]
+        if est is not None and est.status != "optimal":
+            raise LadSysIdError(f"sign-pattern LAD solve ended with status {est.status}")
         on, off = _abs_sums(z[None, :], A, buf, idx, cidx)
         r = float(on[0] / off[0])
         if r > best:

@@ -22,10 +22,13 @@ decides nearly every check: the least-norm w = A_Z v answers yes when it
 lies in the box, and v answers no, as a Farkas vector, when -grad.v exceeds
 ||A_Z v||_1 by more than the acceptance tolerances and a rounding term
 allow.  Only the rest (about 2% of the checks in noiseless +-1 sweeps) go
-to the box-feasibility LP ``solve_lp``, with m equality rows and the bounds
-|w| <= 1.  A no is provably the LP route's answer, and a yes needs w inside
-the box itself, with none of the LP route's allowance, so the verdicts are
-those of the LP alone wherever the LP finds a feasible point.
+to ``solve_lp``, which decides the same box feasibility by one l1 fit with
+m - 1 unknowns: -grad lies in the zonotope {A_Z'w : |w| <= 1} iff
+mu = min{||A_Z v||_1 : -grad.v = 1} >= 1, and the fit's dual, scaled by
+1/mu, is the w that is then re-checked.  A no is provably the fallback's
+answer, and a yes needs w inside the box itself, with none of its
+allowance, so the verdicts are those of the fallback alone wherever it
+finds a point.  Each check returns its w with its verdict.
 
 At large n a pivot is a few passes over the rows besides its three n x m
 products (the prices ``A.T @ sigma``, the edge ``A @ d`` and the residuals
@@ -96,7 +99,6 @@ import numpy as np
 
 from ._native import SOLVE_ERRSTATE, dgeqp3, solve
 from .errors import DimensionError, LadSysIdError, SingularSystemError
-from .lp import solve_lp
 from .matgen import RegressorMatrix
 
 __all__ = ["Estimate", "lad_estimate", "ls_estimate"]
@@ -214,7 +216,17 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -> bool:
+class _Verdict(int):
+    """A box-feasibility verdict, as its truth value, with the w that passed
+    ``_accepted`` (None on a no) and the pivots of the l1 fit behind it."""
+
+    def __new__(cls, w: np.ndarray | None = None, iterations: int = 0):
+        verdict = super().__new__(cls, w is not None)
+        verdict.w, verdict.iterations = w, iterations
+        return verdict
+
+
+def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -> _Verdict:
     """Exact subgradient optimality test at a (possibly degenerate) vertex.
 
     The vertex is optimal iff -grad_nz lies in the zonotope spanned by the
@@ -237,7 +249,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
       in the box itself (max|w| <= 1, with no allowance) and passes the
       residual test, the vertex is optimal.  Without the allowance the
       witness never answers for a problem that is infeasible by less than
-      1e-9, where phase 1 may find no point and the LP path says False.
+      1e-9, which is left to the fallback alone.
     - Separator.  For any w' that ``_accepted`` passes, the identity
       target.v = w'.(At'v) + (target - At w').v gives
       target.v <= (1 + 1e-9) ||At'v||_1 + 1e-8 * scale * ||v||_1 up to
@@ -245,10 +257,12 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
       below, no w' can be accepted and the vertex is not optimal; v is then
       a Farkas vector.  This holds for any v, however inaccurately it was
       solved.  In exact arithmetic the two sides are ||w||_2^2 and ||w||_1.
-    - Fallback.  Otherwise, and when the Gram matrix is singular, the
-      box-feasibility LP ``solve_lp`` (m equality rows, |w| <= 1) decides,
-      and its point must pass ``_accepted``, so the decision does not lean
-      on the LP's internal tolerances.
+    - Fallback.  Otherwise, and when the Gram matrix is singular,
+      ``solve_lp`` decides by an l1 fit, and its point must pass
+      ``_accepted``, so the decision does not lean on the fit's tolerances.
+
+    The verdict is a ``_Verdict``: its truth value, with the accepted w (in
+    the order of the zero rows) on a yes.
 
     The rounding term.  Let u = eps/2, g_k = k u / (1 - k u), r_j = ||At_j||_1
     and S = sum_j |v_j| (r_j + |target_j|); these bounds hold for any order
@@ -268,7 +282,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
     such errors are weighted by |v_j|, so (m + 2)(p + 2) tiny (1 + ||v||_1)
     covers them.  An overflow makes the bound infinite, so it never
     separates, and a NaN raises LinAlgError inside ``SOLVE_ERRSTATE``; both
-    go to the LP.
+    go to ``solve_lp``.
     """
     At = A.take(zero_mask.nonzero()[0], axis=0).T  # m x p
     target = -grad_nz
@@ -286,7 +300,7 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
             v = solve(At @ At.T, target)
             w = At.T @ v
             if _accepted(At, target, w, scale, box=1.0):
-                return True
+                return _Verdict(w)
             av = np.abs(v)
             l1v = float(av.sum())
             bound = (1.0 + 1e-9) * float(np.abs(w).sum()) + 1e-8 * scale * l1v
@@ -294,11 +308,114 @@ def _certify_vertex(A: np.ndarray, zero_mask: np.ndarray, grad_nz: np.ndarray) -
             slack = ((m + p + 4) * _EPS * (2.0 * spread + bound)
                      + (m + 2) * (p + 2) * _TINY * (1.0 + l1v))
             if float(target @ v) > bound + slack:
-                return False
+                return _Verdict()
         except np.linalg.LinAlgError:
             pass    # a singular Gram matrix, or NaNs from a nearly singular one
-    res = solve_lp(At, target, np.full(p, -1.0), np.ones(p))
-    return res.status == "optimal" and _accepted(At, target, res.x, scale)
+    return solve_lp(At, target)
+
+
+def _collapsed_rows(h):
+    """The nonzero rows of h that differ up to sign, each times its
+    multiplicity: ||h z||_1 is their l1 sum for every z, as c |r'z| = |c r'z|.
+    Also, for each row i of h, the sign s_i (0 on a zero row) and the index
+    c_i of its collapsed row, so that h_i = s_i r_(c_i)."""
+    nonzero = h.any(axis=1)
+    sign = np.sign(h[np.arange(h.shape[0]), (h != 0.0).argmax(axis=1)])
+    rows, inverse, counts = np.unique(h[nonzero] * sign[nonzero, None], axis=0,
+                                      return_inverse=True, return_counts=True)
+    index = np.zeros(h.shape[0], dtype=int)
+    index[nonzero] = inverse
+    return rows * counts[:, None], sign, index
+
+
+def _l1_min(h, g, fit):
+    """A z minimizing ||h z||_1 subject to g'z = |g_j|, by one l1 regression.
+
+    With j the first argmax of |g| (g != 0) and g divided by |g_j|, so that
+    g_j = s = +-1 exactly, the constraint fixes z_j = s (1 - g_r'z_r) over the
+    other coordinates r, and the minimum is the LAD fit of y = -s h[:, j] by
+    B = h[:, r] - s h[:, j] g_r', which has full column rank whenever h has;
+    its residuals are -h z.  ``fit`` is the LAD estimator that runs it.
+    Returns z, the fit's Estimate (None for m = 1, where z = (s)), B and y;
+    z holds the fit's x only when the fit is optimal.
+    """
+    m = h.shape[1]
+    j = int(np.abs(g).argmax())
+    g = g / abs(g[j])
+    s = g[j]
+    z = np.full(m, s)
+    rest = np.arange(m) != j
+    hj = h[:, j]
+    B, y = h[:, rest] - s * np.outer(hj, g[rest]), -s * hj
+    est = fit(B, y) if m > 1 else None
+    if est is not None and est.status == "optimal":
+        z[rest] = est.x_hat
+        z[j] = s * (1.0 - g[rest] @ est.x_hat)
+    return z, est, B, y
+
+
+def _fit_point(At: np.ndarray, target: np.ndarray):
+    """``solve_lp``'s candidate w, or None when the fit finds none, and the
+    fit's pivots."""
+    h, sign, index = _collapsed_rows(At.T)
+    if not (h.size and target.any()):
+        return np.zeros(At.shape[1]), 0    # the one candidate when At or target is 0
+    z, est, B, y = _l1_min(h, target, lad_estimate)
+    r = -(h @ z) if est is None else est.residuals
+    iterations = 0 if est is None else est.iterations
+    u = np.sign(r)
+    if est is not None:
+        zero = np.abs(r) <= ZERO_TOL * (float(np.abs(y).max()) or 1.0)
+        dual = est.status == "optimal" and _certify_vertex(B, zero, B[~zero].T @ u[~zero])
+        if not dual:
+            return None, iterations
+        u[zero] = dual.w
+    l1 = float(np.abs(r).sum())
+    if not l1:
+        return None, iterations       # h z = 0: h is numerically singular
+    return sign * u[index] * (-float(target @ z) / l1), iterations
+
+
+def solve_lp(At: np.ndarray, target: np.ndarray) -> _Verdict:
+    """Is there a w with |w| <= 1 and At w = target?  One l1 fit decides.
+
+    target lies in the zonotope {At w : |w| <= 1} iff target'v <= ||At'v||_1
+    for every v (the zonotope's support function), i.e. iff
+    mu = min{||At'v||_1 : target'v = 1} >= 1.  The rows of At' are first
+    collapsed up to sign (``_collapsed_rows``: +-1 rows at m = 5 leave at
+    most 16), and ``_l1_min`` turns the minimum into one LAD fit with m - 1
+    unknowns, of value mu |target_j|.  Its dual u (B'u = 0, |u| <= 1, and
+    y'u equal to the fit's objective) is sign(r) on the fit's nonzero rows
+    and, on its zero rows, the w of the fit's own final-vertex
+    ``_certify_vertex`` call, so the recursion is at most m - 1 deep; for
+    m = 1 there is no fit and u = sign(r), r = -h z.  Then h'u = -mu target,
+    so w = -u / mu, mapped back through the collapse (w_i = s_i w_(c_i), 0 on
+    a zero row of At'), lies in the box iff mu >= 1.  It must pass
+    ``_accepted``, so a yes does not lean on the fit's tolerances.
+
+    When it does not, At may be rank deficient or nearly so, where the fit
+    raises a typed error or loses its accuracy.  The singular directions
+    u_k along which no w in the box moves At w by more than the residual
+    allowance (s_k sqrt(p) <= 1e-8 * scale) are then dropped, the check is
+    posed on the rest of the row space, U_r'At w = U_r'target, and the point
+    found there must pass ``_accepted`` on (At, target).  ``iterations``
+    counts the fits' pivots.
+    """
+    m, p = At.shape
+    scale = float(np.abs(target).max()) or 1.0
+    try:
+        w, iterations = _fit_point(At, target)
+    except (LadSysIdError, np.linalg.LinAlgError):
+        w, iterations = None, 0         # the fit's B is singular, and so is At
+    if w is not None and _accepted(At, target, w, scale):
+        return _Verdict(w, iterations)
+    left, sv, right = np.linalg.svd(At, full_matrices=False)
+    rank = int((sv * math.sqrt(p) > 1e-8 * scale).sum())
+    if 0 < rank < m:
+        res = solve_lp(sv[:rank, None] * right[:rank], left[:, :rank].T @ target)
+        if res and _accepted(At, target, res.w, scale):
+            return _Verdict(res.w, iterations + res.iterations)
+    return _Verdict(iterations=iterations)
 
 
 #: breakpoints sampled to bound the line search's prefix; at most twice as

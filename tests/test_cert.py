@@ -668,6 +668,32 @@ class TestRecoveryRate:
         assert rate == 1.0
 
 
+class TestSupportIndices:
+    """Every entry point that takes a support K: an index that is not
+    integral, or a bool, is a DimensionError rather than the row int() would
+    give, and an integral float names its row."""
+
+    H = gauss_toeplitz(14, 2, seed=9)
+    ENTRY_POINTS = {
+        "exact": lambda H, K: certify_support_exact(H, K),
+        "mc": lambda H, K: certify_support_mc(H, K, trials=200, seed=1),
+        "balance_gap": lambda H, K: balance_gap(H, K, [1.0, -0.5]),
+        "recovery": lambda H, K: empirical_recovery_rate(
+            H, K, trials=3, magnitude=Magnitude(100.0, 50.0), seed=4),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_non_integral_and_bool_indices_rejected(self, entry):
+        for K in ([1.5], [3, 6.25], [True], [np.bool_(False)], [float("nan")]):
+            with pytest.raises(DimensionError, match="integers"):
+                self.ENTRY_POINTS[entry](self.H, K)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_integral_floats_name_their_rows(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        assert call(self.H, [1.0, np.float32(6.0)]) == call(self.H, [1, np.int64(6)])
+
+
 class TestConcentration:
     def test_gaussian_mean_near_reference(self):
         z = np.array([0.6, -0.8])
