@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DimensionError, LadSysIdError, SingularSystemError,
                      SupportSizeError)
-from .matgen import (InputDist, Magnitude, build_regressor, derive_seed,
+from .matgen import (InputDist, Magnitude, _whole, build_regressor, derive_seed,
                      rng_from_seed, sample_input)
 # solve_lp is not called here: perfbench's tracer wraps the name cert.solve_lp
 from .solver import (_as_matrix, _collapsed_rows, _l1_min, _unit_shift,  # noqa: F401
@@ -105,18 +105,25 @@ class SupportCert:
 
 def _support_array(K, n: int) -> np.ndarray:
     """The distinct indices of K, sorted.  DimensionError on an index outside
-    0..n-1, on a bool, or on a number that is not integral: 3.0 is row 3, as
-    ``matgen._coerce`` takes k, and 1.5 is an error rather than row 1."""
+    0..n-1, on a bool, or on a number that is not whole (``matgen._whole``):
+    3.0 is row 3, as ``matgen._coerce`` takes k, and 1.5 is an error rather
+    than row 1."""
     K = list(K)
     for i in K:
-        if isinstance(i, (bool, np.bool_)) or not (
-                isinstance(i, (int, np.integer))
-                or isinstance(i, (float, np.floating)) and float(i).is_integer()):
+        if not _whole(i):
             raise DimensionError(f"support indices must be integers, got {i!r}")
     idx = np.asarray(sorted(set(int(i) for i in K)), dtype=int)
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise DimensionError(f"support indices must lie in 0..{n - 1}")
     return idx
+
+
+def _trials(trials) -> int:
+    """``trials`` as an int; DimensionError unless it is a whole number >= 1
+    (``matgen._whole``: 500.0 is 500, while 2.5 and True are errors)."""
+    if not _whole(trials) or trials < 1:
+        raise DimensionError(f"trials must be an integer >= 1, got {trials!r}")
+    return int(trials)
 
 
 def _support_tuple(idx: np.ndarray) -> tuple:
@@ -195,29 +202,49 @@ def certify_support_exact(H, K) -> SupportCert:
                        witness=z / np.linalg.norm(z))
 
 
-def _product(Z, A, buf):
-    """Z H', written into the leading rows of ``buf``."""
-    V = buf[:Z.shape[0]]
-    np.matmul(Z, A.T, out=V)
-    return V
+def _abs_sums(Z, A, buf, idx, rest, rows=slice(None)):
+    """Row sums of |Z H'| over the columns ``idx`` and over ``rest``, for the
+    rows ``rows`` of the batch Z.
 
+    The whole batch's product V is written into the leading rows of ``buf``;
+    its gather over ``idx`` and its rows ``rows`` (V itself for every row)
+    are made absolute in place.  ``rest`` is the index array of Kbar, or
+    ``slice(None)`` for every column, which ``rows`` short of the batch
+    requires.
 
-def _abs_sums(Z, A, buf, idx, rest):
-    """Row sums of |Z H'| over the columns ``idx`` and over ``rest``.
-
-    The product is written into the leading rows of ``buf`` and made
-    absolute in place; ``rest`` is the index array of Kbar, or
-    ``slice(None)`` for every column.  The two sums round differently, and
-    each is part of the output.  The gather ``V[:, idx]`` is F-ordered, so
-    its rows are summed left to right; ``V[:, rest]`` with a slice is V
-    itself, each of whose C-ordered rows is summed pairwise.  A row's sums
-    thus depend on its own entries only, but a gather of a few rows need not
-    keep that layout (a one-row gather is summed pairwise), so a subset's
-    sums over ``idx`` are taken from the whole batch's gather.
+    Why the bits hold.  A route may score only some rows of a batch, and
+    fill the others with raw draws or cofactor vectors, yet each row it
+    scores gets the bits that scoring the whole batch gives it.  A row of
+    the product depends on its own entries and its place in the batch only
+    (see ``_BATCH_ENTRIES``).  The two sums round differently, and each is
+    part of the output.  The gather ``V[:, idx]`` is F-ordered, so its rows
+    are summed left to right; a gather of a few rows need not keep that
+    layout (a one-row gather is summed pairwise), so the sums over ``idx``
+    are taken from the whole batch's gather.  ``V[:, rest]`` with a slice is
+    V itself, each of whose C-ordered rows is summed pairwise, as is each
+    row of ``V[rows]``.  A row's norm and division read that row alone
+    (``_normalize``), so a direction normalized with a few others, or alone,
+    has the bits a whole-batch normalization gives it.  And the extremum is
+    the first least key (``_first_least``): a row left unscored whose key is
+    strictly above the running least, or above a scored key of its batch,
+    can be neither the first least of a batch that lowers the least nor a
+    new least, and the scored rows keep their order.
     """
-    V = _product(Z, A, buf)
-    np.abs(V, out=V)
-    return V[:, idx].sum(axis=1), V[:, rest].sum(axis=1)
+    V = np.matmul(Z, A.T, out=buf[:len(Z)])
+    on, W = V[:, idx], V[rows]       # W is V itself for every row
+    np.abs(on, out=on)
+    np.abs(W, out=W)
+    return on.sum(axis=1)[rows], W[:, rest].sum(axis=1)
+
+
+def _first_least(keys, Z, key, z):
+    """The first least of ``keys`` and a copy of its row of Z if it is below
+    ``key``, else ``key`` and ``z``: each route's extremum.  The maximizing
+    routes offer -ratio, exactly, whose first least is the first largest
+    ratio, NaN included (argmin and argmax stop at the first NaN, and a NaN
+    never wins)."""
+    i = int(np.argmin(keys))
+    return (float(keys[i]), Z[i].copy()) if keys[i] < key else (key, z)
 
 
 def _batch_sizes(total: int, n: int) -> list:
@@ -237,19 +264,13 @@ def _batch_sizes(total: int, n: int) -> list:
 
 
 def _blocks(sizes, first: int, most: int) -> list:
-    """``sizes`` cut into blocks of whole batches: the first block ends once
-    it holds ``first`` directions, and each later one holds as many batches
-    as fit in ``most`` directions, at least one."""
-    blocks, start = [], 0
-    while start < len(sizes):
-        stop, held = start + 1, sizes[start]
-        while stop < len(sizes) and (held < first if not blocks
-                                     else held + sizes[stop] <= most):
-            held += sizes[stop]
-            stop += 1
-        blocks.append(sizes[start:stop])
-        start = stop
-    return blocks
+    """``sizes`` cut into blocks of whole batches: ceil(``first`` / size)
+    batches, size = ``sizes[0]``, then max(1, ``most`` // size) batches per
+    block.  So the first block holds ``first`` directions or every batch,
+    and a later one at most ``most`` directions or one batch, plus the lone
+    direction ``_batch_sizes`` may add to the last batch."""
+    cuts = [0, *range(-(-first // sizes[0]), len(sizes), max(1, most // sizes[0])), len(sizes)]
+    return [sizes[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _vertex_max(A, idx, cidx):
@@ -266,12 +287,11 @@ def _vertex_max(A, idx, cidx):
     best, nor the largest lower bound in its batch, can be neither its
     batch's first maximum nor a new best.  The candidates' rows of the batch
     then hold their SVD vectors and the other rows their cofactor vectors,
-    and the whole batch is multiplied out again: a row's product depends on
-    its own entries and its place in the batch only (see
-    ``_BATCH_ENTRIES``), and LAPACK factors each matrix of a stack on its
-    own, so every candidate scores the bits it would score if every vertex
-    were SVD'd.  A batch with no candidate is skipped.  A call with fewer
-    than ``_SCREEN_FROM`` vertices SVDs them all.
+    and the whole batch is multiplied out again.  LAPACK factors each matrix
+    of a stack on its own, so every candidate scores the bits it would
+    score if every vertex were SVD'd (see ``_abs_sums``).  A batch with no
+    candidate is skipped.  A call with fewer than ``_SCREEN_FROM`` vertices
+    SVDs them all.
     """
     n, m = A.shape
     hc = A[cidx]
@@ -279,7 +299,7 @@ def _vertex_max(A, idx, cidx):
     sizes = _batch_sizes(math.comb(cidx.size, m - 1), n)
     buf = np.empty((max(sizes), n))
     screen = _VertexScreen(A, idx, cidx) if sum(sizes) >= _SCREEN_FROM else None
-    best, best_z = -np.inf, None
+    least, best_z = np.inf, None        # -ratio and its vertex
     for b in sizes:
         rows = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, b)),
                            dtype=np.intp, count=b * (m - 1)).reshape(b, m - 1)
@@ -288,17 +308,14 @@ def _vertex_max(A, idx, cidx):
         else:
             C = screen.cofactors(rows)
             hi, lo = screen.bounds(C, rows, *_abs_sums(C, A, buf, idx, cidx))
-            look = (hi >= max(best, lo.max())).nonzero()[0]
+            look = (hi >= max(-least, lo.max())).nonzero()[0]
             if not look.size:
                 continue
         Z = np.linalg.svd(hc[rows[look]])[2][:, -1, :]
         C[look] = Z
         on, off = _abs_sums(C, A, buf, idx, cidx)
-        r = on[look] / off[look]
-        i = int(np.argmax(r))
-        if r[i] > best:
-            best, best_z = float(r[i]), Z[i]
-    return best, best_z
+        least, best_z = _first_least(-(on[look] / off[look]), Z, least, best_z)
+    return -least, best_z
 
 
 #: dgesdd's backward error assumed by ``_VertexScreen``, in units of m^2 u
@@ -441,7 +458,7 @@ def _pattern_max(A, idx, cidx):
     n = A.shape[0]
     hk, hc = A[idx], _collapsed_rows(A[cidx])[0]
     buf = np.empty((1, n))
-    best, best_z = 0.0, None       # the ratio is never negative
+    least, best_z = -0.0, None     # -ratio and its z; -least is 0.0 until a ratio exceeds 0
     for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
         g = np.array((1.0,) + tail) @ hk
         j = int(np.abs(g).argmax())
@@ -451,10 +468,8 @@ def _pattern_max(A, idx, cidx):
         if est is not None and est.status != "optimal":
             raise LadSysIdError(f"sign-pattern LAD solve ended with status {est.status}")
         on, off = _abs_sums(z[None, :], A, buf, idx, cidx)
-        r = float(on[0] / off[0])
-        if r > best:
-            best, best_z = r, z
-    return best, best_z
+        least, best_z = _first_least(-(on / off), z[None, :], least, best_z)
+    return -least, best_z
 
 
 def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
@@ -491,20 +506,13 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     block is the first one bounded, the call scores every later batch whole
     too.
 
-    Why the bits hold.  A row's norm and division read that row alone, so a
-    direction normalized with a few others, or alone, has the bits a
-    whole-block normalization gives it.  A surviving direction's row still
-    comes from the product of its whole batch, at its place in it (see
-    ``_BATCH_ENTRIES``), whose other rows need not be normalized, as a row's
-    product does not depend on the other rows' entries; its sum over K
-    comes from the whole batch's gather (see ``_abs_sums``); and its total
-    is its row's own pairwise sum.  Its score is thus the one a full scoring
-    computes.  A skipped direction's computed score is strictly above
-    ``worst``, shown below, so it is above every later ``worst`` too.  It
-    can never be the first minimum of a batch that lowers ``worst``, and the
-    survivors keep their order.  So ``worst_gap``, the verdict and the
-    witness are those of scoring every direction.  The draws are made a
-    block at a time; one stream yields the same values.
+    Why the bits hold.  Each survivor is normalized and scored, from the
+    product of its whole batch, with the bits a full scoring gives it (see
+    ``_abs_sums``).  A skipped direction's computed score is strictly above
+    ``worst``, shown below, so it is above every later ``worst`` too.  So
+    ``worst_gap``, the verdict and the witness are those of scoring every
+    direction.  The draws are made a block at a time, and where a block ends
+    decides only which batches are bounded: one stream yields the same values.
 
     The slack, for a normalized z.  Let u = eps/2, g_k = k u / (1 - k u), T
     and on the total and K sum a full scoring computes, and M(z) = sum_ij
@@ -549,15 +557,13 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     covers.  A block with top below 2^-900, where underflow could outgrow
     the slack, is scored whole.
     """
-    if trials < 1:
-        raise DimensionError(f"trials must be >= 1, got {trials}")
+    trials = _trials(trials)
     A = _unit_scaled(_as_matrix(H))
     n, m = A.shape
     idx = _support_array(K, n)
 
     rng = rng_from_seed(seed)
-    worst = np.inf
-    worst_z = None
+    worst, worst_z = np.inf, None
     sizes = _batch_sizes(trials, n)
     buf = np.empty((max(sizes), n))
     bound = None               # a _ProbeBound while bounding pays
@@ -566,33 +572,22 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     for j, block in enumerate(_blocks(sizes, _PROBES, most)):
         Zb = rng.standard_normal((sum(block), m))
         keep = bound.survivors(Zb, worst, buf) if bound else None
-        if keep is None:
-            _normalize(Zb)
         start = 0
         for b in block:
             Z = Zb[start:start + b]
-            rows = None if keep is None else keep[start:start + b].nonzero()[0]
+            rows = np.arange(b) if keep is None else keep[start:start + b].nonzero()[0]
             start += b
-            if rows is None or 4 * rows.size > b:
-                if rows is not None:
-                    _normalize(Z)
-                rows = slice(None)
-                on, total = _abs_sums(Z, A, buf, idx, rows)
-            elif rows.size:
-                _normalize(Z, rows)
-                V = _product(Z, A, buf)
-                on = np.abs(V[:, idx]).sum(axis=1)[rows]
-                total = np.abs(V[rows]).sum(axis=1)
-            else:
+            if not rows.size:
                 continue
+            if 4 * rows.size > b:
+                rows = slice(None)
+            _normalize(Z, rows)
+            on, total = _abs_sums(Z, A, buf, idx, slice(None), rows)
             gaps = total - 2.0 * on
             scores = np.where(on > 1e-300, gaps / np.maximum(on, 1e-300), gaps)
             if j == 0:
                 first.append(scores)
-            i = int(np.argmin(scores))
-            if scores[i] < worst:
-                worst = float(scores[i])
-                worst_z = Z[rows][i].copy()
+            worst, worst_z = _first_least(scores, Z[rows], worst, worst_z)
         if j == 0 and idx.size and n > _PROBES and trials - Zb.shape[0] >= 16 * _PROBES:
             bound = _ProbeBound(A, idx, Zb, np.concatenate(first))
         elif j == 1 and keep is None:
@@ -659,7 +654,7 @@ class _ProbeBound:
         on = np.abs(W, out=W).sum(axis=0)
         for start in range(0, looked.size, buf.shape[0]):
             part = slice(start, start + buf.shape[0])
-            V = _product(Zl[part], self.A, buf)
+            V = np.matmul(Zl[part], self.A.T, out=buf[:len(Zl[part])])
             low = np.abs(V, out=V).sum(axis=1) - self.slack
             keep[looked[part]] = self._passes(low, on[part], worst, 1.0)
         return keep
@@ -672,8 +667,7 @@ def empirical_recovery_rate(H, K, trials: int, magnitude: Magnitude, seed: int) 
     ``magnitude``, forms y = Hx + e and solves the LAD problem; success
     means x is recovered to ``_RECOVERY_TOL`` relative error.
     """
-    if trials < 1:
-        raise DimensionError(f"trials must be >= 1, got {trials}")
+    trials = _trials(trials)
     A = _as_matrix(H)
     n, m = A.shape
     idx = _support_array(K, n)
@@ -709,8 +703,7 @@ def concentration_diagnostic(n: int, m: int, z, trials: int, seed: int,
     For standard Gaussian inputs each row of Hz is N(0, 1), so the per-row
     mean concentrates at E|N(0,1)| = sqrt(2/pi) = 0.7979.
     """
-    if trials < 1:
-        raise DimensionError(f"trials must be >= 1, got {trials}")
+    trials = _trials(trials)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (m,):
         raise DimensionError(f"z has shape {z.shape}, expected ({m},)")

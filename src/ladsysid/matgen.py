@@ -9,6 +9,10 @@ Gaussian variates use numpy's ziggurat rejection sampler
 (``Generator.standard_normal``), gamma variates the Marsaglia-Tsang
 rejection scheme (``Generator.standard_gamma``), exponential variates the
 ziggurat sampler (``Generator.standard_exponential``).
+
+Seeds, like the package's counts and indices, are whole numbers
+(``_whole``): seed 3.0 is seed 3, while 2.5 and True are a SpecError
+rather than the seeds 2 and 1 that int() would make of them.
 """
 
 from __future__ import annotations
@@ -34,13 +38,22 @@ __all__ = [
 ]
 
 
+def _whole(value) -> bool:
+    """Is ``value`` a whole number: an integer or an integral float (3 or
+    3.0), and not a bool?  The rule for every seed, count and index the
+    package takes, where int() would read 1.5 as 1 and True as 1."""
+    return not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, (int, np.integer))
+        or isinstance(value, (float, np.floating)) and float(value).is_integer())
+
+
 def _seed(seed) -> int:
-    """``seed`` as an int; SpecError when it is negative, which numpy's
-    SeedSequence would refuse with a bare ValueError."""
-    seed = int(seed)
-    if seed < 0:
-        raise SpecError(f"a seed must be >= 0, got {seed}")
-    return seed
+    """``seed`` as an int; SpecError on a bool, a number that is not whole,
+    or a negative seed, which numpy's SeedSequence would refuse with a bare
+    ValueError."""
+    if not _whole(seed) or seed < 0:
+        raise SpecError(f"a seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 def derive_seed(seed: int, *tags: int) -> int:
@@ -55,9 +68,9 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def _coerce(spec, floats=(), ints=()) -> None:
-    """Set the named fields of a frozen spec to float, or to int from an
-    integral number (3 and 3.0 give 3; 3.5 is a SpecError).  A bool, as JSON's
-    true, is a SpecError rather than 1."""
+    """Set the named fields of a frozen spec to float, or to int from a
+    whole number (``_whole``: 3 and 3.0 give 3; 3.5 is a SpecError).  A bool,
+    as JSON's true, is a SpecError rather than 1."""
     for name in (*floats, *ints):
         if isinstance(getattr(spec, name), bool):
             raise SpecError(f"{name} must be a number, got {getattr(spec, name)!r}")
@@ -65,8 +78,7 @@ def _coerce(spec, floats=(), ints=()) -> None:
         object.__setattr__(spec, name, float(getattr(spec, name)))
     for name in ints:
         value = getattr(spec, name)
-        if not (isinstance(value, (int, np.integer))
-                or isinstance(value, float) and value.is_integer()):
+        if not _whole(value):
             raise SpecError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(spec, name, int(value))
 

@@ -12,8 +12,9 @@ from scipy.optimize import linprog
 
 from ladsysid import InputDist, build_regressor, lad_estimate, sample_input
 from ladsysid.cert import _abs_sums, _batch_sizes, _unit_scaled
+from ladsysid.errors import LadSysIdError
 from ladsysid.matgen import rng_from_seed
-from ladsysid.solver import _as_matrix
+from ladsysid.solver import _as_matrix, _collapsed_rows, _l1_min
 
 
 #: a noiseless +-1 PRBS scenario whose optima are degenerate vertices
@@ -112,6 +113,30 @@ def vertex_max_reference(A, idx, cidx):
         i = int(np.argmax(r))
         if r[i] > best:
             best, best_z = float(r[i]), Z[i]
+    return best, best_z
+
+
+def pattern_max_reference(A, idx, cidx):
+    """The exact certifier's sign-pattern route as it stood before its
+    routes shared one first-extremum rule: one l1 fit per pattern, each z
+    scored alone by a one-row product, the first largest ratio kept.
+    Returns the ratio and its direction."""
+    n = A.shape[0]
+    hk, hc = A[idx], _collapsed_rows(A[cidx])[0]
+    buf = np.empty((1, n))
+    best, best_z = 0.0, None
+    for tail in itertools.product((1.0, -1.0), repeat=idx.size - 1):
+        g = np.array((1.0,) + tail) @ hk
+        j = int(np.abs(g).argmax())
+        if g[j] == 0.0:
+            continue
+        z, est = _l1_min(hc, g, lad_estimate)[:2]
+        if est is not None and est.status != "optimal":
+            raise LadSysIdError(f"sign-pattern LAD solve ended with status {est.status}")
+        on, off = _abs_sums(z[None, :], A, buf, idx, cidx)
+        r = float(on[0] / off[0])
+        if r > best:
+            best, best_z = r, z
     return best, best_z
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 
 import ladsysid.cert
 from ladsysid import (DimensionError, InputDist, LadSysIdError, Magnitude,
-                      SupportSizeError,
+                      SpecError, SupportSizeError,
                       balance_gap, build_regressor, certify_support_exact,
                       certify_support_mc, concentration_diagnostic,
                       empirical_recovery_rate, expected_gain, sample_input)
 from ladsysid.matgen import rng_from_seed
 from ladsysid.solver import Estimate, _as_matrix
 from oracles import (direction_grid_min_gap, gain_quadrature, gauss_toeplitz,
-                     highs_pattern_best, mc_batched_reference, recovery_probe,
-                     vertex_max_reference, witness_attack_defeats_lad)
+                     highs_pattern_best, mc_batched_reference, pattern_max_reference,
+                     recovery_probe, vertex_max_reference, witness_attack_defeats_lad)
 
 ONES_COLUMN = np.array([[1.0], [1.0], [1.0]])
 SPIKE_COLUMN = np.array([[1.0], [0.0], [0.0]])
@@ -319,6 +320,38 @@ class TestExactMethods:
             cert = certify_support_exact(np.ldexp(H, e), K)
             assert cert.method == "patterns"
             assert cert.worst_gap == pytest.approx(ref, abs=1e-9), e
+
+    def test_bit_identical_to_pattern_reference(self):
+        # m = 1-5, |K| = 1-8, Gaussian, +-1 and half-integer Toeplitz inputs;
+        # every fourth shape pairs its support rows as h and -h (and zeroes
+        # an odd one out), so the all-ones pattern has H_K' sigma = 0
+        rng = np.random.default_rng(23)
+        seen = {"shapes": 0, "cancel": 0}
+        for i in range(90):
+            m, k = 1 + i % 5, 1 + i % 8
+            n = k + m + int(rng.integers(2, 16))
+            dist = InputDist.bernoulli_pm1() if i % 3 == 1 else InputDist.gaussian(1.0)
+            H = np.array(build_regressor(sample_input(dist, n, m, 40_000 + i), n, m).entries)
+            if i % 3 == 2:
+                H = np.round(2.0 * H) / 2.0
+            K = sorted(rng.choice(n, size=k, replace=False).tolist())
+            if i % 4 == 0:
+                H[K[1::2]] = -H[K[0:k - k % 2:2]]
+                H[K[-1]] *= 1 - k % 2
+            A = ladsysid.cert._unit_scaled(H)
+            idx = np.array(K)
+            cidx = np.setdiff1d(np.arange(n), idx)
+            if np.linalg.matrix_rank(A[cidx]) < m:
+                continue           # certify_support_exact decides these before fitting
+            best, z = pattern_max_reference(A, idx, cidx)
+            got, w = ladsysid.cert._pattern_max(A, idx, cidx)
+            assert got == best, (i, n, m, K)
+            assert (w is None and z is None) or w.tobytes() == z.tobytes(), (i, n, m, K)
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=k - 1)))
+            tails = np.hstack([np.ones((len(signs), 1)), signs]) @ A[idx]
+            seen["cancel"] += bool(np.all(tails == 0.0, axis=1).any())
+            seen["shapes"] += 1
+        assert seen["shapes"] >= 60 and seen["cancel"] >= 10, seen
 
     def test_pattern_lp_failure_is_typed(self, monkeypatch):
         monkeypatch.setattr(ladsysid.cert, "_VERTEX_PER_LP", 0)
@@ -645,6 +678,23 @@ class TestBatchSizes:
         assert sizes(31, 10) == [10, 10, 11]
         assert sizes(3, 200) == [1, 1, 1]     # wider than a batch: one row each
 
+    @pytest.mark.parametrize("n", [1, 7, 40, 500, 131_072, 200_000])
+    def test_blocks_cut_whole_batches(self, n):
+        # whatever the cut, the blocks are the batches in order; the first
+        # holds `first` directions or every batch, and each later one at
+        # most `most` directions or one batch, but for the lone direction
+        # the last batch may take in
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            sizes = ladsysid.cert._batch_sizes(int(rng.integers(1, 20_000)), n)
+            first, most = int(rng.integers(1, 60)), int(rng.integers(1, 5_000))
+            blocks = ladsysid.cert._blocks(sizes, first, most)
+            assert [b for block in blocks for b in block] == sizes
+            assert all(blocks) and (sum(blocks[0]) >= first or len(blocks) == 1)
+            for block in blocks[1:]:
+                lone = block is blocks[-1] and sizes[-1] == sizes[0] + 1
+                assert len(block) == 1 or sum(block) - lone <= most, (sizes, first, most)
+
 
 class TestRecoveryRate:
     def test_certified_support_recovers_always(self):
@@ -692,6 +742,44 @@ class TestSupportIndices:
     def test_integral_floats_name_their_rows(self, entry):
         call = self.ENTRY_POINTS[entry]
         assert call(self.H, [1.0, np.float32(6.0)]) == call(self.H, [1, np.int64(6)])
+
+
+class TestCounts:
+    """A trial count or a seed is a whole number at every certifier entry
+    point: 500.0 is 500, while a bool or a fraction is an error rather than
+    the number int() would make of it."""
+
+    H = gauss_toeplitz(14, 2, seed=9)
+    ENTRY_POINTS = {
+        "mc": lambda H, trials, seed: certify_support_mc(H, [1, 6], trials=trials, seed=seed),
+        "recovery": lambda H, trials, seed: empirical_recovery_rate(
+            H, [1, 6], trials=trials, magnitude=Magnitude(100.0, 50.0), seed=seed),
+        "concentration": lambda H, trials, seed: concentration_diagnostic(
+            14, 2, [0.6, 0.8], trials=trials, seed=seed).samples,
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bad_counts_rejected(self, entry):
+        for trials in (0, -3, 2.5, 500.5, True, np.bool_(True), float("nan")):
+            with pytest.raises(DimensionError, match="trials"):
+                self.ENTRY_POINTS[entry](self.H, trials, 4)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bad_seeds_rejected(self, entry):
+        for seed in (2.5, True, -1):
+            with pytest.raises(SpecError, match="seed"):
+                self.ENTRY_POINTS[entry](self.H, 5, seed)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_integral_floats_are_their_integers(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        got, expected = call(self.H, 5.0, 4.0), call(self.H, 5, 4)
+        assert np.array_equal(got, expected) if entry == "concentration" else got == expected
+
+    def test_mc_reports_integer_work(self):
+        cert = certify_support_mc(self.H, [1, 6], trials=500.0, seed=2.0)
+        assert cert == certify_support_mc(self.H, [1, 6], trials=500, seed=2)
+        assert type(cert.work) is int and cert.work == 500
 
 
 class TestConcentration:

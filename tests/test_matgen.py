@@ -4,6 +4,7 @@ import pytest
 from ladsysid import (DimensionError, InputDist, Magnitude, NoiseSpec,
                       OutlierSpec, SpecError, build_regressor, sample_input,
                       sample_noise, sample_outliers)
+from ladsysid.matgen import derive_seed, rng_from_seed
 
 
 class TestSampleInput:
@@ -209,3 +210,36 @@ class TestSampleOutliers:
             OutlierSpec("fixed", k=3, max_fraction=0.3)
         with pytest.raises(SpecError, match="does not use k"):
             OutlierSpec("uniform_fraction", k=3, max_fraction=0.3)
+
+
+class TestSeeds:
+    """Every seed is a whole number: a bool or a fraction is a SpecError
+    rather than the seed int() would make of it, an integral float is its
+    integer, and an int keeps its draws."""
+
+    ENTRY_POINTS = {
+        "sample_input": lambda s: sample_input(InputDist.gaussian(1.0), 8, 2, seed=s),
+        "derive_seed": lambda s: derive_seed(s, 4, 7),
+        "rng_from_seed": lambda s: rng_from_seed(s).standard_normal(3),
+        "noise": lambda s: sample_noise(NoiseSpec.gaussian(1.0, seed=s), 5),
+        "outliers": lambda s: sample_outliers(OutlierSpec.fixed(2, seed=s), 9),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bool_and_fractional_seeds_rejected(self, entry):
+        for seed in (1.5, 2.5, True, np.bool_(True), float("nan"), float("inf"), -1):
+            with pytest.raises(SpecError, match="seed"):
+                self.ENTRY_POINTS[entry](seed)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_integral_floats_are_their_integers(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        for seed in (3.0, np.float32(3.0), np.int64(3), np.uint64(3)):
+            assert np.array_equal(call(seed), call(3))
+        assert not np.array_equal(call(2), call(3))
+
+    def test_int_seeds_keep_their_draws(self):
+        expected = np.random.default_rng(np.random.SeedSequence(2**70 + 5)).standard_normal(4)
+        assert np.array_equal(rng_from_seed(2**70 + 5).standard_normal(4), expected)
+        state = np.random.SeedSequence([11, 4, 7]).generate_state(1, dtype=np.uint64)[0]
+        assert derive_seed(11, 4, 7) == int(state)
