@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DimensionError, LadSysIdError, SingularSystemError,
                      SupportSizeError)
-from .matgen import (InputDist, Magnitude, _whole, build_regressor, derive_seed,
+from .matgen import (InputDist, Magnitude, _count, _whole, build_regressor, derive_seed,
                      rng_from_seed, sample_input)
 # solve_lp is not called here: perfbench's tracer wraps the name cert.solve_lp
 from .solver import (_as_matrix, _collapsed_rows, _l1_min, _unit_shift,  # noqa: F401
@@ -116,14 +116,6 @@ def _support_array(K, n: int) -> np.ndarray:
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise DimensionError(f"support indices must lie in 0..{n - 1}")
     return idx
-
-
-def _trials(trials) -> int:
-    """``trials`` as an int; DimensionError unless it is a whole number >= 1
-    (``matgen._whole``: 500.0 is 500, while 2.5 and True are errors)."""
-    if not _whole(trials) or trials < 1:
-        raise DimensionError(f"trials must be an integer >= 1, got {trials!r}")
-    return int(trials)
 
 
 def _support_tuple(idx: np.ndarray) -> tuple:
@@ -557,7 +549,7 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     covers.  A block with top below 2^-900, where underflow could outgrow
     the slack, is scored whole.
     """
-    trials = _trials(trials)
+    trials = _count("trials", trials, 1)
     A = _unit_scaled(_as_matrix(H))
     n, m = A.shape
     idx = _support_array(K, n)
@@ -667,7 +659,7 @@ def empirical_recovery_rate(H, K, trials: int, magnitude: Magnitude, seed: int) 
     ``magnitude``, forms y = Hx + e and solves the LAD problem; success
     means x is recovered to ``_RECOVERY_TOL`` relative error.
     """
-    trials = _trials(trials)
+    trials = _count("trials", trials, 1)
     A = _as_matrix(H)
     n, m = A.shape
     idx = _support_array(K, n)
@@ -703,7 +695,7 @@ def concentration_diagnostic(n: int, m: int, z, trials: int, seed: int,
     For standard Gaussian inputs each row of Hz is N(0, 1), so the per-row
     mean concentrates at E|N(0,1)| = sqrt(2/pi) = 0.7979.
     """
-    trials = _trials(trials)
+    trials = _count("trials", trials, 1)
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (m,):
         raise DimensionError(f"z has shape {z.shape}, expected ({m},)")

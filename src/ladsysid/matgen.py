@@ -10,9 +10,10 @@ Gaussian variates use numpy's ziggurat rejection sampler
 rejection scheme (``Generator.standard_gamma``), exponential variates the
 ziggurat sampler (``Generator.standard_exponential``).
 
-Seeds, like the package's counts and indices, are whole numbers
-(``_whole``): seed 3.0 is seed 3, while 2.5 and True are a SpecError
-rather than the seeds 2 and 1 that int() would make of them.
+Seeds and seed tags, like the package's counts and indices, are whole
+numbers (``_whole``): seed 3.0 is seed 3, while 2.5 and True are a SpecError
+rather than the seeds 2 and 1 that int() would make of them.  So are the
+sizes n and m, where a bool or a fraction is a DimensionError.
 """
 
 from __future__ import annotations
@@ -48,17 +49,25 @@ def _whole(value) -> bool:
 
 
 def _seed(seed) -> int:
-    """``seed`` as an int; SpecError on a bool, a number that is not whole,
-    or a negative seed, which numpy's SeedSequence would refuse with a bare
-    ValueError."""
+    """``seed`` (or a seed tag) as an int; SpecError on a bool, a number that
+    is not whole, or a negative one, which numpy's SeedSequence would refuse
+    with a bare ValueError."""
     if not _whole(seed) or seed < 0:
-        raise SpecError(f"a seed must be an integer >= 0, got {seed!r}")
+        raise SpecError(f"a seed or seed tag must be an integer >= 0, got {seed!r}")
     return int(seed)
+
+
+def _count(name: str, value, least: int) -> int:
+    """The count or size ``value`` (n, m, trials) as an int; DimensionError,
+    naming it ``name``, unless it is a whole number >= ``least``."""
+    if not _whole(value) or value < least:
+        raise DimensionError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Mix integer tags into ``seed`` and return a fresh 64-bit sub-seed."""
-    ss = np.random.SeedSequence([_seed(seed), *[int(t) for t in tags]])
+    ss = np.random.SeedSequence([_seed(seed), *[_seed(t) for t in tags]])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -144,8 +153,8 @@ def sample_input(dist: InputDist, n: int, m: int, seed: int) -> np.ndarray:
     """Draw the n+m-1 i.i.d. input samples for an n-by-m regressor, as a
     read-only array whose entry ``p`` holds the sample with logical index
     ``p - m + 2``: entry 0 is the earliest sample and entry -1 the latest."""
-    if m < 1 or n < m:
-        raise DimensionError(f"need n >= m >= 1, got n={n}, m={m}")
+    m = _count("m", m, 1)
+    n = _count("n", n, m)
     rng = rng_from_seed(seed)
     size = n + m - 1
     if dist.kind == "gaussian":
@@ -163,8 +172,7 @@ def build_regressor(h, n: int, m: int) -> RegressorMatrix:
     shift the window by one.  Degenerate shapes with n < m are permitted here
     (a single-row matrix is still well formed); the estimators enforce n >= m.
     """
-    if m < 1 or n < 1:
-        raise DimensionError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    n, m = _count("n", n, 1), _count("m", m, 1)
     values = np.asarray(h, dtype=float)
     if values.ndim != 1 or len(values) != n + m - 1:
         raise DimensionError(
@@ -174,7 +182,7 @@ def build_regressor(h, n: int, m: int) -> RegressorMatrix:
     # the bits of every product with the matrix
     entries = np.lib.stride_tricks.sliding_window_view(values, m).copy()
     entries.flags.writeable = False
-    return RegressorMatrix(entries=entries, n=int(n), m=int(m))
+    return RegressorMatrix(entries=entries, n=n, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +237,7 @@ class NoiseSpec:
 
 def sample_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     """Draw n i.i.d. noise samples according to ``spec``."""
-    if n < 0:
-        raise DimensionError(f"need n >= 0, got {n}")
+    n = _count("n", n, 0)
     if spec.kind == "none":
         return np.zeros(n)
     rng = rng_from_seed(spec.seed)
@@ -313,8 +320,7 @@ def sample_outliers(spec: OutlierSpec, n: int) -> np.ndarray:
     Draw order is count, support, magnitudes, so the realized support does
     not depend on the magnitude parameters.
     """
-    if n < 0:
-        raise DimensionError(f"need n >= 0, got {n}")
+    n = _count("n", n, 0)
     rng = rng_from_seed(spec.seed)
     if spec.count_model == "fixed":
         k = spec.k

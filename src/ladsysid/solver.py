@@ -69,7 +69,7 @@ rows as the full simplex's, so they agree with it bit for bit.  Otherwise,
 or when the subsample's first column has one magnitude (+-1 input, whose
 subsample optimum had a dual at +-1 on every instance tried), when a pilot
 that converged within its cap sits at a degenerate or non-strict optimum,
-when a repair would take the band past n/2 rows, when a band-stage solve ends
+when a repair would take the band past n/2 rows, when a band solve ends
 other than optimal (g0 can make the band unbounded), or when it raises a
 typed error or LinAlgError, the full simplex runs from the geqp3 basis of all
 n rows, as it did without the band stage.  ``Estimate.iterations`` counts
@@ -690,8 +690,6 @@ def _band_stage(A: np.ndarray, y: np.ndarray, rows: np.ndarray, ztol: float,
             fault = _vertex_fault(A_s, pilot.basis, pilot.r, ztol)
             if fault:
                 return "subsample " + fault
-        elif pilot.status != "iteration_limit":
-            return "subsample " + pilot.status
         basis = rows[pilot.basis]
         r = y - A @ pilot.x
         dist = np.abs(r)

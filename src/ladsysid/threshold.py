@@ -17,9 +17,6 @@ search over the full grid:
   once per process and shared by every m, since none of them depends on m;
 - the coarse beta grid is scanned from the top, a chunk at a time: the
   first chunk with a negative point holds the highest one;
-- the bisection evaluates the midpoints of several levels in one call and
-  replays the serial decisions: each midpoint is 0.5 * (lo + hi) of the
-  same two floats;
 - the witness, the first grid minimum in row-major order, is searched in
   one row: by the monotonicity above, it lies in the first mu whose per-mu
   minimum equals the grid minimum.
@@ -32,13 +29,13 @@ asymptotic expansion where erfc would underflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._native import erfc
 from .errors import ThresholdSearchError
+from .matgen import _whole
 
 __all__ = [
     "normal_cdf",
@@ -59,9 +56,8 @@ _MU_POINTS = 200
 _DELTA_POINTS = 99
 _COARSE_POINTS = 200
 _BETA_TOL = 1e-6
-#: Coarse beta points per step of the top-down scan, and bisection levels per call
+#: Coarse beta points per step of the top-down scan
 _SCAN_CHUNK = 32
-_BISECT_LEVELS = 5
 #: (_tail_bracket, its read-only grids), filled by _shared_grid
 _grid_memo = None
 
@@ -178,24 +174,6 @@ def _shared_grid():
     return _grid_memo[1]
 
 
-def _midpoint_tree(lo, hi, levels):
-    """Every bisection midpoint of (lo, hi) for ``levels`` levels, in heap order.
-
-    Node i splits its interval at out[i]; its lower half is node 2i+1 and its
-    upper half node 2i+2.  Each midpoint is 0.5 * (lo + hi) of its own
-    interval's endpoints, the float a serial bisection would compute.
-    """
-    ends = np.array([lo, hi])     # the sorted endpoints of one level's intervals
-    out = []
-    for _ in range(levels):
-        mids = 0.5 * (ends[:-1] + ends[1:])
-        out.append(mids)
-        split = np.empty(2 * ends.size - 1)
-        split[0::2], split[1::2] = ends, mids
-        ends = split
-    return np.concatenate(out)
-
-
 def strong_threshold(m: int) -> ThresholdResult:
     """Largest certified outlier fraction beta*(m) with its (mu, delta) witness.
 
@@ -203,7 +181,8 @@ def strong_threshold(m: int) -> ThresholdResult:
     uniform grid on [0.01, 0.99], brackets beta on a geometric coarse grid
     and bisects to ``_BETA_TOL``.  The search is confined to
     beta < 1/(2m - 1): beyond that the inequality's clean-row count is
-    nonpositive and the bound is vacuous.
+    nonpositive and the bound is vacuous.  m is a whole number in 1..50
+    (``matgen._whole``): 2.0 is m = 2, while 2.5 and True are a ValueError.
 
     On that range the tail bracket's coefficient 1/(2m-1) - beta is
     positive, so for each mu the inequality is nondecreasing in the tail
@@ -219,15 +198,13 @@ def strong_threshold(m: int) -> ThresholdResult:
     - The coarse grid is scanned from the top, ``_SCAN_CHUNK`` points at a
       time, down to the first chunk with a negative point: that chunk holds
       the highest one.
-    - The bisection evaluates the midpoints of up to ``_BISECT_LEVELS``
-      levels in one call and replays the serial decisions through them:
-      each midpoint is computed from the same two floats.
     - The witness is the first grid minimum in row-major order, searched in
       one row: by the monotonicity above, a row holds the grid minimum iff
       its per-mu value equals it, so the first such mu is its row.
     """
-    if not 1 <= m <= 50:
-        raise ValueError(f"m must lie in 1..50, got {m}")
+    if not _whole(m) or not 1 <= m <= 50:
+        raise ValueError(f"m must be an integer in 1..50, got {m!r}")
+    m = int(m)
     mu_grid, dl_grid, tail, tail_min = _shared_grid()
     pos = _phi_bracket(m, mu_grid)
     beta_max = 1.0 / (2 * m - 1) * (1.0 - 1e-9)
@@ -248,23 +225,18 @@ def strong_threshold(m: int) -> ThresholdResult:
     lo = coarse[last]
     hi = coarse[last + 1] if last + 1 < _COARSE_POINTS else beta_max
     while hi - lo > _BETA_TOL:
-        levels = min(_BISECT_LEVELS, math.ceil(math.log2((hi - lo) / _BETA_TOL)))
-        mids = _midpoint_tree(lo, hi, levels)
-        neg = _lhs(mids[:, None], m, pos, tail_min).min(axis=1) < 0
-        node = 0
-        while node < mids.size and hi - lo > _BETA_TOL:
-            if neg[node]:
-                lo, node = mids[node], 2 * node + 2
-            else:
-                hi, node = mids[node], 2 * node + 1
+        mid = 0.5 * (lo + hi)
+        if _lhs(mid, m, pos, tail_min).min() < 0:
+            lo = mid
+        else:
+            hi = mid
 
-    beta_star = lo
-    i_mu = int(np.argmin(_lhs(beta_star, m, pos, tail_min)))
-    row = _lhs(beta_star, m, pos[i_mu], tail[i_mu])
+    i_mu = int(np.argmin(_lhs(lo, m, pos, tail_min)))
+    row = _lhs(lo, m, pos[i_mu], tail[i_mu])
     i_dl = int(np.argmin(row))
     return ThresholdResult(
-        m=int(m),
-        beta_star=float(beta_star),
+        m=m,
+        beta_star=float(lo),
         mu=float(mu_grid[i_mu]),
         delta=float(dl_grid[i_dl]),
         lhs_value=float(row[i_dl]),

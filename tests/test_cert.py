@@ -75,6 +75,10 @@ class TestBalanceGap:
         with pytest.raises(DimensionError):
             balance_gap(ONES_COLUMN, [3], [1.0])
 
+    def test_direction_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DimensionError, match="z has shape"):
+            balance_gap(ONES_COLUMN, [0], [1.0, 0.0])
+
 
 class TestExactCertifier:
     def test_uniform_column_single_row_certified(self):

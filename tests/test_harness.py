@@ -197,6 +197,16 @@ class TestScenarioValidation:
                      x_source=XSource.gaussian_random(), noise=NoiseSpec.none(),
                      outliers=OutlierSpec.fixed(0), estimators=("ridge",))
 
+    def test_unknown_x_source(self):
+        with pytest.raises(SpecError, match="unknown x source"):
+            XSource("sobol")
+        with pytest.raises(SpecError, match="requires a vector"):
+            XSource("fixed")
+
+    def test_unknown_consistency_noise(self):
+        with pytest.raises(ConfigError, match="noise kind"):
+            consistency_scenario("cauchy", 100)
+
     def test_fixed_vector_length(self):
         with pytest.raises(SpecError):
             Scenario(name="bad", n=5, m=2, input=InputDist.gaussian(1.0),
@@ -225,6 +235,16 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         keys = [(r.n, r.trial, r.estimator) for r in res.rows]
         assert keys == sorted(keys)
+
+    def test_mean_error_of_a_missing_point(self):
+        cfg = ExperimentConfig(scenarios=[clean_scenario(40)], trials_per_point=1,
+                               master_seed=1)
+        res = run_experiment(cfg)
+        assert res.mean_error(40, "lad") == res.summary[0].mean_error
+        with pytest.raises(KeyError):
+            res.mean_error(50, "lad")
+        with pytest.raises(KeyError):
+            res.mean_error(40, "huber")
 
     def test_determinism_of_whole_experiment(self, tmp_path):
         # everything except wall-clock timing is a pure function of the seed

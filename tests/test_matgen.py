@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ladsysid import (DimensionError, InputDist, Magnitude, NoiseSpec,
-                      OutlierSpec, SpecError, build_regressor, sample_input,
-                      sample_noise, sample_outliers)
+                      OutlierSpec, SpecError, build_regressor,
+                      concentration_diagnostic, sample_input, sample_noise,
+                      sample_outliers)
 from ladsysid.matgen import derive_seed, rng_from_seed
 
 
@@ -109,6 +110,12 @@ class TestBuildRegressor:
         with pytest.raises(DimensionError):
             build_regressor(np.zeros(7), 5, 2)
 
+    def test_sizes_below_one(self):
+        with pytest.raises(DimensionError, match="n must be"):
+            build_regressor(np.zeros(1), 0, 2)
+        with pytest.raises(DimensionError, match="m must be"):
+            build_regressor(np.zeros(4), 5, 0)
+
     def test_accepts_sequence_object(self):
         seq = sample_input(InputDist.bernoulli_pm1(), 8, 2, seed=3)
         H = build_regressor(seq, 8, 2)
@@ -140,6 +147,14 @@ class TestSampleNoise:
     def test_deterministic(self):
         spec = NoiseSpec.gamma(2.0, 0.3, seed=5)
         assert np.array_equal(sample_noise(spec, 100), sample_noise(spec, 100))
+
+    def test_unknown_kind(self):
+        with pytest.raises(SpecError, match="unknown noise kind"):
+            NoiseSpec("cauchy")
+
+    def test_negative_length(self):
+        with pytest.raises(DimensionError, match="n must be"):
+            sample_noise(NoiseSpec.gaussian(1.0), -1)
 
     def test_invalid_parameters(self):
         with pytest.raises(SpecError):
@@ -183,6 +198,14 @@ class TestSampleOutliers:
             for s in range(10**4)
         ]
         assert abs(np.mean(counts) - 100.0) <= 3.0
+
+    def test_unknown_count_model(self):
+        with pytest.raises(SpecError, match="unknown count model"):
+            OutlierSpec("bursty", k=3)
+
+    def test_negative_length(self):
+        with pytest.raises(DimensionError, match="n must be"):
+            sample_outliers(OutlierSpec.fixed(0), -1)
 
     def test_count_exceeds_n(self):
         with pytest.raises(SpecError):
@@ -238,8 +261,55 @@ class TestSeeds:
             assert np.array_equal(call(seed), call(3))
         assert not np.array_equal(call(2), call(3))
 
+    def test_tags_are_whole_numbers(self):
+        for tag in (2.5, True, np.bool_(True), float("nan"), -1):
+            with pytest.raises(SpecError, match="tag"):
+                derive_seed(1, tag)
+        for tag in (2.0, np.float32(2.0), np.int64(2), np.uint64(2)):
+            assert derive_seed(1, tag, 7) == derive_seed(1, 2, 7)
+        assert derive_seed(1, 3, 7) != derive_seed(1, 2, 7)
+
     def test_int_seeds_keep_their_draws(self):
         expected = np.random.default_rng(np.random.SeedSequence(2**70 + 5)).standard_normal(4)
         assert np.array_equal(rng_from_seed(2**70 + 5).standard_normal(4), expected)
         state = np.random.SeedSequence([11, 4, 7]).generate_state(1, dtype=np.uint64)[0]
         assert derive_seed(11, 4, 7) == int(state)
+
+
+class TestSizes:
+    """n and m are whole numbers at every entry point: a bool or a fraction
+    is a DimensionError rather than the size int() would make of it or
+    numpy's raw TypeError, an integral float is its integer, and an int
+    keeps its draws."""
+
+    # name -> (the call with one size varied, the int that size takes)
+    ENTRY_POINTS = {
+        "sample_input n": (lambda s: sample_input(InputDist.gaussian(1.0), s, 2, seed=1), 10),
+        "sample_input m": (lambda s: sample_input(InputDist.gaussian(1.0), 10, s, seed=1), 2),
+        "build_regressor n": (lambda s: build_regressor(np.arange(11.0), s, 2).entries, 10),
+        "build_regressor m": (lambda s: build_regressor(np.arange(11.0), 10, s).entries, 2),
+        "noise": (lambda s: sample_noise(NoiseSpec.gaussian(1.0, seed=1), s), 5),
+        "outliers": (lambda s: sample_outliers(OutlierSpec.fixed(2, seed=1), s), 5),
+        "concentration": (lambda s: concentration_diagnostic(
+            s, 2, [0.6, 0.8], trials=2, seed=1).samples, 10),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bool_and_fractional_sizes_rejected(self, entry):
+        call, size = self.ENTRY_POINTS[entry]
+        name = "m" if entry.endswith(" m") else "n"
+        for bad in (size + 0.5, True, np.bool_(True), float("nan"), float("inf")):
+            with pytest.raises(DimensionError, match=f"{name} must be"):
+                call(bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_integral_floats_are_their_integers(self, entry):
+        call, size = self.ENTRY_POINTS[entry]
+        for good in (float(size), np.float32(size), np.int64(size), np.uint64(size)):
+            assert np.array_equal(call(good), call(size))
+
+    def test_int_sizes_keep_their_draws(self):
+        expected = np.random.default_rng(np.random.SeedSequence(1)).standard_normal(11)
+        assert np.array_equal(sample_input(InputDist.gaussian(1.0), 10, 2, seed=1), expected)
+        H = build_regressor(np.arange(11.0), 10, 2)
+        assert (type(H.n), type(H.m)) == (int, int)

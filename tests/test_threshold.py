@@ -222,6 +222,12 @@ class TestStrongThreshold:
             strong_threshold(0)
         with pytest.raises(ValueError):
             strong_threshold(51)
+        for m in (2.5, True, np.bool_(True), float("nan")):
+            with pytest.raises(ValueError, match="integer"):
+                strong_threshold(m)
+        for m in (2.0, np.int64(2), np.float32(2.0)):
+            res = strong_threshold(m)
+            assert res == strong_threshold(2) and type(res.m) is int
 
     def test_tail_grid_built_once_for_all_m(self, monkeypatch):
         calls = []
