@@ -3,13 +3,16 @@
 Subcommands: ``experiment`` (run a configured sweep), ``table1`` (the
 printed limited-data example), ``certify`` (outlier-support certification),
 ``threshold`` (recoverability curve).  Exit codes: 0 success, 1 config
-error, 2 solver/search failure.
+error, 2 solver/search failure.  A reader that closes stdout early, as
+``| head`` does, ends the command quietly with exit code 0: by then every
+file it writes is complete, and the rest of its output is dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -51,8 +54,10 @@ def _build_parser() -> _Parser:
     pe.add_argument("--config", required=True, help="JSON experiment config")
     pe.add_argument("--seed", type=int, default=None, help="override master seed")
     pe.add_argument("--out", default=None, help="override output CSV path")
+    pe.set_defaults(run=_cmd_experiment)
 
-    sub.add_parser("table1", help="reproduce the printed limited-data line fit")
+    sub.add_parser("table1", help="reproduce the printed limited-data line fit"
+                   ).set_defaults(run=_cmd_table1)
 
     pc = sub.add_parser("certify", help="certify an outlier support")
     pc.add_argument("--n", type=int, required=True)
@@ -67,11 +72,13 @@ def _build_parser() -> _Parser:
     pc.add_argument("--trials", type=int, default=100000,
                     help="direction samples for --method mc")
     pc.add_argument("--seed", type=int, default=0, help="direction-sampling seed")
+    pc.set_defaults(run=_cmd_certify)
 
     pt = sub.add_parser("threshold", help="compute the recoverable-fraction curve")
     pt.add_argument("--m-min", type=int, default=1)
     pt.add_argument("--m-max", type=int, default=10)
     pt.add_argument("--out", default=None, help="CSV output path")
+    pt.set_defaults(run=_cmd_threshold)
     return p
 
 
@@ -133,16 +140,16 @@ def _cmd_certify(args) -> int:
 def _cmd_threshold(args) -> int:
     if not 1 <= args.m_min <= args.m_max <= 50:
         raise ConfigError("need 1 <= m-min <= m-max <= 50")
-    lines = ["m,beta_star,mu,delta,lhs"]
-    for m in range(args.m_min, args.m_max + 1):
-        res = strong_threshold(m)
-        lines.append(f"{m},{res.beta_star:.17g},{res.mu:.17g},"
-                     f"{res.delta:.17g},{res.lhs_value:.17g}")
-        print(f"m={m:3d}  beta_star={res.beta_star:.6f}  "
+    curve = [strong_threshold(m) for m in range(args.m_min, args.m_max + 1)]
+    if args.out:                # before any row: a closed stdout cannot cut the file
+        with open(args.out, "w") as fh:
+            fh.write("m,beta_star,mu,delta,lhs\n")
+            fh.writelines(f"{res.m},{res.beta_star:.17g},{res.mu:.17g},"
+                          f"{res.delta:.17g},{res.lhs_value:.17g}\n" for res in curve)
+    for res in curve:
+        print(f"m={res.m:3d}  beta_star={res.beta_star:.6f}  "
               f"mu={res.mu:.4f}  delta={res.delta:.3f}  lhs={res.lhs_value:.3e}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
         print(f"# written to {args.out}")
     return EXIT_OK
 
@@ -154,13 +161,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "table1":
-            return _cmd_table1(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        return _cmd_threshold(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # exit cannot fail on the output still buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ConfigError, SpecError, DimensionError, SupportSizeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

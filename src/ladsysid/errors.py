@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["LadSysIdError", "DimensionError", "SpecError", "SingularSystemError",
+           "SupportSizeError", "ThresholdSearchError", "ConfigError"]
+
 
 class LadSysIdError(Exception):
     """Base class for all package errors."""

@@ -122,6 +122,15 @@ def _tail_bracket(mu, delta):
     return _LOG2 + arg**2 / 2.0 + log_normal_sf(arg)
 
 
+def _width(m, most=None) -> int:
+    """The regressor width m as an int; ValueError unless it is a whole number
+    (``matgen._whole``: 2.0 is m = 2, while 2.5 and True are not) in 1..most."""
+    if not _whole(m) or m < 1 or most is not None and m > most:
+        span = f"in 1..{most}" if most else ">= 1"
+        raise ValueError(f"m must be an integer {span}, got {m!r}")
+    return int(m)
+
+
 def _lhs(beta, m, pos, tail):
     """The inequality from its brackets: pos = _phi_bracket, tail = _tail_bracket."""
     return _entropy_inner(beta) + m * beta * pos + (1.0 / (2 * m - 1) - beta) * tail
@@ -131,11 +140,11 @@ def threshold_inequality(beta: float, m: int, mu, delta):
     """Value of the recoverability inequality; negative certifies beta.
 
     ``mu`` and ``delta`` may be broadcastable arrays; ``beta`` is scalar.
+    m is a whole number >= 1 (``_width``).
     """
     if not 0 < beta < 1:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _width(m)
     mu_a = np.asarray(mu, dtype=float)
     dl_a = np.asarray(delta, dtype=float)
     if np.any(mu_a <= 0):
@@ -182,7 +191,7 @@ def strong_threshold(m: int) -> ThresholdResult:
     and bisects to ``_BETA_TOL``.  The search is confined to
     beta < 1/(2m - 1): beyond that the inequality's clean-row count is
     nonpositive and the bound is vacuous.  m is a whole number in 1..50
-    (``matgen._whole``): 2.0 is m = 2, while 2.5 and True are a ValueError.
+    (``_width``).
 
     On that range the tail bracket's coefficient 1/(2m-1) - beta is
     positive, so for each mu the inequality is nondecreasing in the tail
@@ -202,9 +211,7 @@ def strong_threshold(m: int) -> ThresholdResult:
       one row: by the monotonicity above, a row holds the grid minimum iff
       its per-mu value equals it, so the first such mu is its row.
     """
-    if not _whole(m) or not 1 <= m <= 50:
-        raise ValueError(f"m must be an integer in 1..50, got {m!r}")
-    m = int(m)
+    m = _width(m, 50)
     mu_grid, dl_grid, tail, tail_min = _shared_grid()
     pos = _phi_bracket(m, mu_grid)
     beta_max = 1.0 / (2 * m - 1) * (1.0 - 1e-9)
@@ -244,7 +251,7 @@ def strong_threshold(m: int) -> ThresholdResult:
 
 
 def bernoulli_row_bounds(m: int):
-    """Per-row bounds (1/(2 sqrt(m)), sqrt(m)) on E|<z, h>| for +/-1 inputs."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    """Per-row bounds (1/(2 sqrt(m)), sqrt(m)) on E|<z, h>| for +/-1 inputs;
+    m is a whole number >= 1 (``_width``)."""
+    m = _width(m)
     return 1.0 / (2.0 * np.sqrt(m)), float(np.sqrt(m))

@@ -33,6 +33,13 @@ class TestBasics:
         assert main(["threshold", "--m-max", "2"]) == 0
         assert "m=  2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["experiment", "--config", "c.json"], ["table1"],
+                                      ["certify", "--n", "5", "--m", "1", "--support", "0"],
+                                      ["threshold"]])
+    def test_each_subcommand_carries_its_handler(self, argv):
+        args = ladsysid.cli._build_parser().parse_args(argv)
+        assert args.run is getattr(ladsysid.cli, f"_cmd_{argv[0]}")
+
 
 class TestTable1:
     def test_prints_golden_estimates(self, capsys):
@@ -164,6 +171,52 @@ class TestThreshold:
         assert main(["threshold", "--m-max", "51"]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "<= 50" in err
+
+    def test_unwritable_out_fails_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "no" / "dir" / "t.csv"
+        assert main(["threshold", "--m-max", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``| head`` does, ends the command
+    with exit code 0 and nothing on stderr, after ``--out`` is written whole."""
+
+    SCRIPT = "import sys; from ladsysid.cli import main; sys.exit(main())"
+
+    def _start(self, tmp_path, unbuffered, stdout):
+        src = str(Path(ladsysid.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["threshold", "--m-min", "1", "--m-max", "50", "--out", str(tmp_path / "t.csv")]
+        return subprocess.Popen([sys.executable, "-c", self.SCRIPT, *argv], env=env,
+                                stdout=stdout, stderr=subprocess.PIPE)
+
+    def _check(self, proc, tmp_path):
+        err = proc.communicate(timeout=120)[1]
+        assert (proc.returncode, err) == (0, b"")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert len(lines) == 51 and lines[0] == "m,beta_star,mu,delta,lhs"
+
+    def test_unbuffered_reader_closes_after_the_first_line(self, tmp_path):
+        proc = self._start(tmp_path, True, subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"m=  1  beta_star=")
+        proc.stdout.close()
+        self._check(proc, tmp_path)
+
+    def test_buffered_reader_closes_before_any_output(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._start(tmp_path, False, write_end)
+        finally:
+            os.close(write_end)
+        self._check(proc, tmp_path)
 
 
 class TestExperiment:

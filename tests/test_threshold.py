@@ -172,6 +172,17 @@ class TestThresholdInequality:
         with pytest.raises(ValueError):
             threshold_inequality(0.5, 1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("m", [2.5, True, np.True_, float("nan")])
+    def test_m_must_be_whole(self, m):
+        with pytest.raises(ValueError, match="integer"):
+            threshold_inequality(0.01, m, 1.0, 0.5)
+
+    def test_integral_m_is_its_integer(self):
+        mu, dl = np.logspace(-1, 1, 7)[:, None], np.linspace(0.1, 0.9, 5)
+        want = threshold_inequality(0.01, 2, mu, dl).tobytes()
+        for m in (2.0, np.int64(2), np.float32(2.0)):
+            assert threshold_inequality(0.01, m, mu, dl).tobytes() == want
+
 
 class TestStrongThreshold:
     def test_frozen_regression_values(self):
@@ -278,3 +289,13 @@ class TestBernoulliBounds:
     def test_domain(self):
         with pytest.raises(ValueError):
             bernoulli_row_bounds(0)
+
+    @pytest.mark.parametrize("m", [2.5, True, np.True_, float("nan")])
+    def test_m_must_be_whole(self, m):
+        with pytest.raises(ValueError, match="integer"):
+            bernoulli_row_bounds(m)
+
+    def test_integral_m_is_its_integer(self):
+        want = [np.float64(v).tobytes() for v in bernoulli_row_bounds(2)]
+        for m in (2.0, np.int64(2), np.float32(2.0)):
+            assert [np.float64(v).tobytes() for v in bernoulli_row_bounds(m)] == want
