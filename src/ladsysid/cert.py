@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (DimensionError, LadSysIdError, SingularSystemError,
                      SupportSizeError)
-from .matgen import (InputDist, Magnitude, _count, _whole, build_regressor, derive_seed,
-                     rng_from_seed, sample_input)
+from .matgen import (InputDist, Magnitude, _count, _real, _whole, build_regressor,
+                     derive_seed, rng_from_seed, sample_input)
 # solve_lp is not called here: perfbench's tracer wraps the name cert.solve_lp
 from .solver import (_as_matrix, _collapsed_rows, _l1_min, _unit_shift,  # noqa: F401
                      lad_estimate, solve_lp)
@@ -123,15 +123,21 @@ def _support_tuple(idx: np.ndarray) -> tuple:
 
 
 def balance_gap(H, K, z) -> float:
-    """||(Hz)_Kbar||_1 - ||(Hz)_K||_1; positive for every z iff K is correctable."""
+    """||(Hz)_Kbar||_1 - ||(Hz)_K||_1; positive for every z iff K is correctable.
+
+    K is a set: a repeated index counts once.  z must be real, finite and
+    nonzero, or it is a DimensionError (a ValueError).
+    """
     A = _as_matrix(H)
     n = A.shape[0]
     idx = _support_array(K, n)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.atleast_1d(_real("z", z))
     if z.shape != (A.shape[1],):
         raise DimensionError(f"z has shape {z.shape}, expected ({A.shape[1]},)")
+    if not np.isfinite(z).all():
+        raise DimensionError("z must be finite (found NaN or inf)")
     if not np.any(z):
-        raise ValueError("z must be nonzero")
+        raise DimensionError("z must be nonzero")
     v = np.abs(A @ z)
     on_k = v[idx].sum()
     return float(v.sum() - 2.0 * on_k)
@@ -156,7 +162,8 @@ def certify_support_exact(H, K) -> SupportCert:
     is at most ``_MARGIN`` * ||(Hz)_Kbar||_1.  H is first scaled, exactly,
     by the power of two that brings max|H| into [1, 2), so no route's
     tolerance depends on the scale of H; the ratio does not change.  A
-    pattern solve that ends other than optimal is a LadSysIdError.
+    pattern solve that ends other than optimal is a LadSysIdError.  K is a
+    set: a repeated index counts once, so [0, 0, 1] certifies (0, 1).
     """
     A = _as_matrix(H)
     n, m = A.shape
@@ -456,7 +463,7 @@ def _pattern_max(A, idx, cidx):
         j = int(np.abs(g).argmax())
         if g[j] == 0.0:
             continue               # H_K' sigma = 0: ratio 0
-        z, est = _l1_min(hc, g, lad_estimate)[:2]
+        z, est = _l1_min(hc, g, lad_estimate)
         if est is not None and est.status != "optimal":
             raise LadSysIdError(f"sign-pattern LAD solve ended with status {est.status}")
         on, off = _abs_sums(z[None, :], A, buf, idx, cidx)
@@ -696,10 +703,10 @@ def concentration_diagnostic(n: int, m: int, z, trials: int, seed: int,
     mean concentrates at E|N(0,1)| = sqrt(2/pi) = 0.7979.
     """
     trials = _count("trials", trials, 1)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = np.atleast_1d(_real("z", z))
     if z.shape != (m,):
         raise DimensionError(f"z has shape {z.shape}, expected ({m},)")
-    if abs(np.linalg.norm(z) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(z) - 1.0) <= 1e-8:     # a NaN fails it too
         raise ValueError("z must be a unit vector")
     if dist is None:
         dist = InputDist.gaussian(1.0)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, LadSysIdError, SpecError
-from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec, _coerce,
+from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec, _coerce, _count,
                      build_regressor, derive_seed, rng_from_seed, sample_input,
                      sample_noise, sample_outliers)
 from .solver import l2_norm, lad_estimate, ls_estimate
@@ -386,8 +386,10 @@ def snr_db(s: Scenario, trials: int, master_seed: int) -> float:
     Pools signal power sum_K (Hx)_i^2 against corruption power
     sum_K (e+w)_i^2 over the outlier support K across seeded trials.  This
     is the ratio the corrupted measurements see; with N(100, 50^2) outlier
-    magnitudes it sits near -28 dB regardless of n.
+    magnitudes it sits near -28 dB regardless of n.  ``trials`` must be a
+    whole number >= 1 (DimensionError otherwise).
     """
+    trials = _count("trials", trials, 1)
     sig = 0.0
     cor = 0.0
     for t in range(trials):

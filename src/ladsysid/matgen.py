@@ -13,7 +13,9 @@ ziggurat sampler (``Generator.standard_exponential``).
 Seeds and seed tags, like the package's counts and indices, are whole
 numbers (``_whole``): seed 3.0 is seed 3, while 2.5 and True are a SpecError
 rather than the seeds 2 and 1 that int() would make of them.  So are the
-sizes n and m, where a bool or a fraction is a DimensionError.
+sizes n and m, where a bool or a fraction is a DimensionError.  Every array
+the package casts to float goes through ``_real``, so a complex one is a
+DimensionError rather than losing its imaginary part to the cast.
 """
 
 from __future__ import annotations
@@ -63,6 +65,15 @@ def _count(name: str, value, least: int) -> int:
     if not _whole(value) or value < least:
         raise DimensionError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> np.ndarray:
+    """``value`` as a float array; DimensionError, naming it ``name``, when
+    its dtype is complex, whose imaginary part a float cast would drop with
+    only a ComplexWarning."""
+    if np.iscomplexobj(value):
+        raise DimensionError(f"{name} must be real, got a complex array")
+    return np.asarray(value, dtype=float)
 
 
 def derive_seed(seed: int, *tags: int) -> int:
@@ -173,7 +184,7 @@ def build_regressor(h, n: int, m: int) -> RegressorMatrix:
     (a single-row matrix is still well formed); the estimators enforce n >= m.
     """
     n, m = _count("n", n, 1), _count("m", m, 1)
-    values = np.asarray(h, dtype=float)
+    values = _real("h", h)
     if values.ndim != 1 or len(values) != n + m - 1:
         raise DimensionError(
             f"input sequence has length {values.shape}, expected {n + m - 1}"

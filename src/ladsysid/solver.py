@@ -25,10 +25,22 @@ allow.  Only the rest (about 2% of the checks in noiseless +-1 sweeps) go
 to ``solve_lp``, which decides the same box feasibility by one l1 fit with
 m - 1 unknowns: -grad lies in the zonotope {A_Z'w : |w| <= 1} iff
 mu = min{||A_Z v||_1 : -grad.v = 1} >= 1, and the fit's dual, scaled by
-1/mu, is the w that is then re-checked.  A no is provably the fallback's
-answer, and a yes needs w inside the box itself, with none of its
-allowance, so the verdicts are those of the fallback alone wherever it
-finds a point.  Each check returns its w with its verdict.
+1/mu, is the w that is then re-checked.  That dual is the one the fit's own
+simplex stopped on, so the fit's vertex is not checked a second time.  A no
+is provably the fallback's answer, and a yes needs w inside the box itself,
+with none of its allowance, so the verdicts are those of the fallback alone
+wherever it finds a point.  Each check returns its w with its verdict.
+
+Every optimal LAD fit carries the dual certificate it stopped on,
+``Estimate.dual``: a u with |u| <= 1 + OPT_TOL and H'u = 0, so that y'u
+bounds ||y - Hz||_1 from below for every z, up to those tolerances.  At the
+lambda test u is sigma off the basis and -lambda on it, and H'u = 0 up to
+rounding.  At a degenerate vertex it is sign(r) off the zero rows and the
+vertex check's w on them, and H'u = 0 to within that check's acceptance
+test.  On the band route it is the band solve's u on the band and the
+folded signs elsewhere.  Either way ||r||_1 - y'u is at most (2 + OPT_TOL)
+times the l1 sum of the residuals within the zero tolerance, up to
+rounding, so u proves the objective optimal to within that much.
 
 At large n a pivot is a few passes over the rows besides its three n x m
 products (the prices ``A.T @ sigma``, the edge ``A @ d`` and the residuals
@@ -99,7 +111,7 @@ import numpy as np
 
 from ._native import SOLVE_ERRSTATE, dgeqp3, solve
 from .errors import DimensionError, LadSysIdError, SingularSystemError
-from .matgen import RegressorMatrix
+from .matgen import RegressorMatrix, _count, _real
 
 __all__ = ["Estimate", "lad_estimate", "ls_estimate"]
 
@@ -111,7 +123,11 @@ OPT_TOL = 1e-8
 
 @dataclass
 class Estimate:
-    """Estimator output: parameters, residuals and solve diagnostics."""
+    """Estimator output: parameters, residuals and solve diagnostics.
+
+    ``dual`` is an optimal LAD fit's dual certificate u (see the module
+    docstring); None for LS and for a LAD fit that did not end optimal.
+    """
 
     x_hat: np.ndarray
     objective: float
@@ -119,12 +135,14 @@ class Estimate:
     status: str          # optimal | iteration_limit | degenerate_fallback
     method: str          # lad | ls
     iterations: int = 0
+    dual: np.ndarray | None = None
 
 
 def _as_matrix(H) -> np.ndarray:
-    """H as a float matrix (a vector is one column); DimensionError on a NaN
-    or an infinity.  Both estimators and every certifier take H through here."""
-    A = np.asarray(H.entries if isinstance(H, RegressorMatrix) else H, dtype=float)
+    """H as a float matrix (a vector is one column); DimensionError on a
+    complex dtype, a NaN or an infinity.  Both estimators and every certifier
+    take H through here."""
+    A = _real("H", H.entries if isinstance(H, RegressorMatrix) else H)
     if A.ndim == 1:
         A = A[:, None]
     if not np.isfinite(A).all():
@@ -136,7 +154,7 @@ def _checked_inputs(H, y):
     """(A, y) as float arrays, after the shape and finiteness checks both
     estimators share."""
     A = _as_matrix(H)
-    y = np.asarray(y, dtype=float)
+    y = _real("y", y)
     n, m = A.shape
     if y.shape != (n,):
         raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
@@ -336,8 +354,8 @@ def _l1_min(h, g, fit):
     other coordinates r, and the minimum is the LAD fit of y = -s h[:, j] by
     B = h[:, r] - s h[:, j] g_r', which has full column rank whenever h has;
     its residuals are -h z.  ``fit`` is the LAD estimator that runs it.
-    Returns z, the fit's Estimate (None for m = 1, where z = (s)), B and y;
-    z holds the fit's x only when the fit is optimal.
+    Returns z and the fit's Estimate (None for m = 1, where z = (s)); z
+    holds the fit's x only when the fit is optimal.
     """
     m = h.shape[1]
     j = int(np.abs(g).argmax())
@@ -351,7 +369,7 @@ def _l1_min(h, g, fit):
     if est is not None and est.status == "optimal":
         z[rest] = est.x_hat
         z[j] = s * (1.0 - g[rest] @ est.x_hat)
-    return z, est, B, y
+    return z, est
 
 
 def _fit_point(At: np.ndarray, target: np.ndarray):
@@ -360,19 +378,13 @@ def _fit_point(At: np.ndarray, target: np.ndarray):
     h, sign, index = _collapsed_rows(At.T)
     if not (h.size and target.any()):
         return np.zeros(At.shape[1]), 0    # the one candidate when At or target is 0
-    z, est, B, y = _l1_min(h, target, lad_estimate)
+    z, est = _l1_min(h, target, lad_estimate)
     r = -(h @ z) if est is None else est.residuals
+    u = np.sign(r) if est is None else est.dual
     iterations = 0 if est is None else est.iterations
-    u = np.sign(r)
-    if est is not None:
-        zero = np.abs(r) <= ZERO_TOL * (float(np.abs(y).max()) or 1.0)
-        dual = est.status == "optimal" and _certify_vertex(B, zero, B[~zero].T @ u[~zero])
-        if not dual:
-            return None, iterations
-        u[zero] = dual.w
     l1 = float(np.abs(r).sum())
-    if not l1:
-        return None, iterations       # h z = 0: h is numerically singular
+    if u is None or not l1:
+        return None, iterations       # no optimal fit, or h z = 0: h is numerically singular
     return sign * u[index] * (-float(target @ z) / l1), iterations
 
 
@@ -385,10 +397,12 @@ def solve_lp(At: np.ndarray, target: np.ndarray) -> _Verdict:
     collapsed up to sign (``_collapsed_rows``: +-1 rows at m = 5 leave at
     most 16), and ``_l1_min`` turns the minimum into one LAD fit with m - 1
     unknowns, of value mu |target_j|.  Its dual u (B'u = 0, |u| <= 1, and
-    y'u equal to the fit's objective) is sign(r) on the fit's nonzero rows
-    and, on its zero rows, the w of the fit's own final-vertex
-    ``_certify_vertex`` call, so the recursion is at most m - 1 deep; for
-    m = 1 there is no fit and u = sign(r), r = -h z.  Then h'u = -mu target,
+    y'u equal to the fit's objective) is the fit's ``Estimate.dual``, which
+    its simplex stopped on; a fit that is not optimal has none, and finds no
+    point.  A degenerate vertex of the fit is certified by
+    ``_certify_vertex``, which may call this function with one unknown
+    fewer, so the recursion is at most m - 1 deep; for m = 1 there is no fit
+    and u = sign(r), r = -h z.  Then h'u = -mu target,
     so w = -u / mu, mapped back through the collapse (w_i = s_i w_(c_i), 0 on
     a zero row of At'), lies in the box iff mu >= 1.  It must pass
     ``_accepted``, so a yes does not lean on the fit's tolerances.
@@ -485,13 +499,14 @@ def _leaving_index(t: np.ndarray, rows: np.ndarray, w: np.ndarray, slope: float,
 
 class _Fit(NamedTuple):
     """A simplex run's last vertex: its sorted basis rows, x, the residuals
-    y - A x, the status and the pivot count."""
+    y - A x, the status, the pivot count and, when optimal, the dual u."""
 
     basis: np.ndarray
     x: np.ndarray
     r: np.ndarray
     status: str
     iterations: int
+    u: np.ndarray | None
 
 
 def _simplex(A: np.ndarray, y: np.ndarray, basis: np.ndarray, ztol: float,
@@ -522,7 +537,7 @@ def _simplex(A: np.ndarray, y: np.ndarray, basis: np.ndarray, ztol: float,
 
     bland = False
     checked_degenerate = -10**9
-    status = "iteration_limit"
+    status, u = "iteration_limit", None
     it = 0
 
     while it < max_iter:
@@ -540,7 +555,8 @@ def _simplex(A: np.ndarray, y: np.ndarray, basis: np.ndarray, ztol: float,
             p = int(viol.argmax())
             optimal = viol[p] <= OPT_TOL
         if optimal:
-            status = "optimal"
+            status, u = "optimal", sigma
+            u[basis] = -lam
             break
 
         if has_zero and (it - checked_degenerate) >= 25:
@@ -551,8 +567,10 @@ def _simplex(A: np.ndarray, y: np.ndarray, basis: np.ndarray, ztol: float,
             grad_nz = A.take(nz, axis=0).T @ np.sign(r[nz])
             if g0 is not None:
                 grad_nz += g0
-            if _certify_vertex(A, zero_mask, grad_nz):
-                status = "optimal"
+            verdict = _certify_vertex(A, zero_mask, grad_nz)
+            if verdict:
+                status, u = "optimal", sigma
+                u[zero_mask] = verdict.w
                 break
 
         if bland:
@@ -603,7 +621,7 @@ def _simplex(A: np.ndarray, y: np.ndarray, basis: np.ndarray, ztol: float,
             sigma[zero_rows] = kept
         sigma[basis] = 0.0
 
-    return _Fit(basis, x, r, status, it)
+    return _Fit(basis, x, r, status, it, u)
 
 
 #: the band stage keeps _BAND_MULTIPLE times as many rows as it subsamples
@@ -722,7 +740,8 @@ def _band_stage(A: np.ndarray, y: np.ndarray, rows: np.ndarray, ztol: float,
             return fault
     except (LadSysIdError, np.linalg.LinAlgError) as exc:
         return type(exc).__name__
-    return _Fit(basis, x, r, "optimal", pivots)
+    fold[band] = fit.u
+    return _Fit(basis, x, r, "optimal", pivots, fold)
 
 
 def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
@@ -733,6 +752,8 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     returned vertex is one deterministic element of it.  A NaN or inf in H
     or y raises DimensionError, as does a residual sum beyond the float
     range; a basis that turns out singular raises numpy's LinAlgError.
+    ``max_iter``, when given, must be a whole number >= 1 (``matgen._count``),
+    or it is a DimensionError.
     When n is at least 6 times the band stage's subsample and n m^2 is at
     least 12,000, ``_band_stage`` runs first; ``max_iter`` then caps the pilot's and all band solves'
     pivots together, ``iterations`` counts them, and the full simplex, run
@@ -740,8 +761,7 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
     """
     A, y = _checked_inputs(H, y)
     n, m = A.shape
-    if max_iter is None:
-        max_iter = 200 * (n + m) + 1000
+    max_iter = 200 * (n + m) + 1000 if max_iter is None else _count("max_iter", max_iter, 1)
     ztol = ZERO_TOL * (float(np.abs(y).max()) or 1.0)
 
     # H and y are finite, so only a singular solve can raise the invalid flag
@@ -761,6 +781,7 @@ def lad_estimate(H, y, max_iter: int | None = None) -> Estimate:
         status=fit.status,
         method="lad",
         iterations=fit.iterations,
+        dual=fit.u,
     )
 
 

@@ -130,7 +130,7 @@ def pattern_max_reference(A, idx, cidx):
         j = int(np.abs(g).argmax())
         if g[j] == 0.0:
             continue
-        z, est = _l1_min(hc, g, lad_estimate)[:2]
+        z, est = _l1_min(hc, g, lad_estimate)
         if est is not None and est.status != "optimal":
             raise LadSysIdError(f"sign-pattern LAD solve ended with status {est.status}")
         on, off = _abs_sums(z[None, :], A, buf, idx, cidx)

@@ -71,6 +71,14 @@ class TestBalanceGap:
         with pytest.raises(ValueError):
             balance_gap(ONES_COLUMN, [0], [0.0])
 
+    @pytest.mark.parametrize("z,match", [([0.0, 0.0, 0.0], "nonzero"),
+                                         ([1.0, np.nan, 0.5], "finite"),
+                                         ([1.0, np.inf, 0.5], "finite"),
+                                         ([-np.inf, 0.0, 0.0], "finite")])
+    def test_zero_or_non_finite_direction_is_a_dimension_error(self, z, match):
+        with pytest.raises(DimensionError, match=match):
+            balance_gap(gauss_toeplitz(15, 3, seed=1), [1, 4], z)
+
     def test_bad_support_rejected(self):
         with pytest.raises(DimensionError):
             balance_gap(ONES_COLUMN, [3], [1.0])
@@ -747,6 +755,14 @@ class TestSupportIndices:
         call = self.ENTRY_POINTS[entry]
         assert call(self.H, [1.0, np.float32(6.0)]) == call(self.H, [1, np.int64(6)])
 
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_repeated_indices_count_once(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        assert call(self.H, [6, 1, 1, 6]) == call(self.H, [1, 6])
+
+    def test_support_is_reported_as_a_set(self):
+        assert certify_support_exact(self.H, [0, 0, 1]).support == (0, 1)
+
 
 class TestCounts:
     """A trial count or a seed is a whole number at every certifier entry
@@ -802,6 +818,10 @@ class TestConcentration:
     def test_requires_unit_direction(self):
         with pytest.raises(ValueError):
             concentration_diagnostic(100, 2, [1.0, 1.0], trials=2, seed=14)
+
+    def test_nan_direction_is_not_a_unit_vector(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            concentration_diagnostic(100, 2, [np.nan, 1.0], trials=2, seed=14)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):

@@ -9,7 +9,7 @@ import pytest
 
 import ladsysid.harness
 import ladsysid.solver
-from ladsysid import (ConfigError, ExperimentConfig, InputDist, Magnitude,
+from ladsysid import (ConfigError, DimensionError, ExperimentConfig, InputDist, Magnitude,
                       NoiseSpec, OutlierSpec, Scenario, SpecError, TrialRow,
                       XSource, config_from_dict, emit_csv, consistency_config,
                       consistency_scenario, fir_config, fir_scenario, load_config,
@@ -366,6 +366,15 @@ class TestSnr:
     def test_no_outliers_is_an_error(self):
         with pytest.raises(SpecError):
             snr_db(clean_scenario(), trials=2, master_seed=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True, np.True_, 0, -1])
+    def test_trials_must_be_whole(self, trials):
+        with pytest.raises(DimensionError, match="trials must be an integer >= 1"):
+            snr_db(fir_scenario(100), trials=trials, master_seed=1)
+
+    @pytest.mark.parametrize("trials", [5.0, np.int64(5)])
+    def test_integral_trials_are_their_integer(self, trials):
+        assert snr_db(fir_scenario(100), trials, 1) == snr_db(fir_scenario(100), 5, 1)
 
 
 def scenario_dict(**specs):

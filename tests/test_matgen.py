@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ladsysid import (DimensionError, InputDist, Magnitude, NoiseSpec,
-                      OutlierSpec, SpecError, build_regressor,
-                      concentration_diagnostic, sample_input, sample_noise,
+                      OutlierSpec, SpecError, balance_gap, build_regressor,
+                      certify_support_exact, certify_support_mc,
+                      concentration_diagnostic, empirical_recovery_rate,
+                      lad_estimate, ls_estimate, sample_input, sample_noise,
                       sample_outliers)
 from ladsysid.matgen import derive_seed, rng_from_seed
 
@@ -313,3 +317,40 @@ class TestSizes:
         assert np.array_equal(sample_input(InputDist.gaussian(1.0), 10, 2, seed=1), expected)
         H = build_regressor(np.arange(11.0), 10, 2)
         assert (type(H.n), type(H.m)) == (int, int)
+
+
+class TestComplexInput:
+    """Every array the package casts to float is refused when its dtype is
+    complex, rather than losing its imaginary part to the cast with only a
+    ComplexWarning; the same call on the real part runs."""
+
+    H = build_regressor(sample_input(InputDist.gaussian(1.0), 14, 2, seed=9), 14, 2).entries
+    Y = H @ np.array([1.0, -0.5]) + np.arange(14.0) % 3
+    # name -> (the call with one array complex or not, that array)
+    ENTRY_POINTS = {
+        "lad_estimate H": (lambda a: lad_estimate(a, TestComplexInput.Y), H),
+        "lad_estimate y": (lambda a: lad_estimate(TestComplexInput.H, a), Y),
+        "ls_estimate H": (lambda a: ls_estimate(a, TestComplexInput.Y), H),
+        "ls_estimate y": (lambda a: ls_estimate(TestComplexInput.H, a), Y),
+        "certify_support_exact H": (lambda a: certify_support_exact(a, [0]), H),
+        "certify_support_mc H": (lambda a: certify_support_mc(a, [0], trials=100, seed=1), H),
+        "empirical_recovery_rate H": (lambda a: empirical_recovery_rate(
+            a, [0], trials=2, magnitude=Magnitude(100.0, 50.0), seed=1), H),
+        "balance_gap H": (lambda a: balance_gap(a, [0], [0.6, 0.8]), H),
+        "balance_gap z": (lambda a: balance_gap(TestComplexInput.H, [0], a),
+                          np.array([0.6, 0.8])),
+        "concentration_diagnostic z": (lambda a: concentration_diagnostic(
+            14, 2, a, trials=2, seed=1), np.array([0.6, 0.8])),
+        "build_regressor h": (lambda a: build_regressor(a, 10, 3), np.arange(12.0)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_complex_array_rejected(self, entry):
+        call, real = self.ENTRY_POINTS[entry]
+        name = entry.split()[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(real)
+            for bad in (real + 1j, real.astype(complex), real.astype(np.complex64)):
+                with pytest.raises(DimensionError, match=f"{name} must be real"):
+                    call(bad)

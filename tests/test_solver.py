@@ -919,6 +919,22 @@ class TestErrors:
         assert est.status == "iteration_limit"
         assert est.x_hat.shape == (3,)
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.True_, 0, -1])
+    def test_max_iter_must_be_whole(self, max_iter):
+        H = gauss_toeplitz(50, 3, seed=12)
+        with pytest.raises(DimensionError, match="max_iter must be an integer >= 1"):
+            lad_estimate(H, H.entries @ np.ones(3) + np.arange(50) % 7, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [3.0, np.int64(3)])
+    def test_integral_max_iter_is_its_integer(self, max_iter):
+        # the optimum is 4 pivots away
+        H = gauss_toeplitz(50, 3, seed=12)
+        y = H.entries @ np.ones(3) + np.arange(50) % 7
+        est, ref = lad_estimate(H, y, max_iter=max_iter), lad_estimate(H, y, max_iter=3)
+        assert (est.status, est.iterations) == (ref.status, ref.iterations) == (
+            "iteration_limit", 3)
+        assert est.x_hat.tobytes() == ref.x_hat.tobytes()
+
 
 class TestSmallScale:
     """y scaled far below 1: the zero tolerance follows max|y| with no floor at 1,
@@ -1083,6 +1099,148 @@ class TestLargeScale:
         H, y = self.instance()
         with pytest.raises(DimensionError, match="float range"):
             ls_estimate(H, 1.5e308 * np.sign(y))
+
+
+def small_scale_instances():
+    """``TestSmallScale``'s instances: y far below 1."""
+    for scale in (1e-6, 1e-8):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            H = gauss_toeplitz(120, 4, seed).entries
+            y = H @ rng.standard_normal(4) + 0.1 * rng.standard_normal(120)
+            y[rng.choice(120, 20, replace=False)] += 10.0 * rng.standard_normal(20)
+            yield H, scale * y
+
+
+def power_of_two_instances():
+    """``TestPowerOfTwoScaling``'s instances: y and columns of H rescaled by
+    powers of two, columns up to 2^60 apart."""
+    for kind, noise in INSTANCE_KINDS:
+        for seed in range(6):
+            H, y = toeplitz_instance(kind, 60 + 20 * seed, 2 + seed % 4, seed, noise)
+            for k in (0, 20, -20, 40, -40):
+                yield H, np.ldexp(y, k)
+    for kind in ("pm1", "quantized"):
+        for seed in range(20):
+            m = 2 + seed % 4
+            H, y = toeplitz_instance(kind, 40 + 2 * seed, m, seed, noise=False)
+            cols = np.random.default_rng(seed).permutation(m)[:(m + 1) // 2]
+            for k in (20, -20, 40, -40):
+                scale = np.ones(m)
+                scale[cols] = 2.0 ** k
+                yield H * scale, y
+    for kind in ("pm1", "gaussian"):
+        for seed in range(30):
+            H, y = toeplitz_instance(kind, 90, 3, seed, noise=False)
+            for scale in ((1.0, 2.0**-52, 1.0), (2.0**26, 1.0, 2.0**-26), (1.0, 1.0, 2.0**-60)):
+                yield H * np.array(scale), y
+
+
+def decimal_instances():
+    """``TestDecimalScaling``'s instances: y and one column rescaled by
+    powers of ten."""
+    for kind in ("gaussian", "pm1"):
+        for seed in range(10):
+            H, y = TestDecimalScaling.instance(kind, seed)
+            for factor in (1e6, 1e-6, 1e-12):
+                yield H, factor * y
+            for factor in (1e6, 1e-6, 1e12, 1e-12):
+                scale = np.ones(H.shape[1])
+                scale[seed % H.shape[1]] = factor
+                yield H * scale, y
+
+
+def noiseless_sweep(kind):
+    """``TestVertexCertificate``'s sweep, with +-1 or Gaussian input: noiseless
+    m=5 instances with up to 80% outliers, n 40-600, whose optima are
+    degenerate vertices."""
+    for n, trials in ((40, 40), (100, 24), (250, 12), (600, 6)):
+        scen = config_from_dict({"scenario": dict(NOISELESS_PM1, input={"kind": kind}),
+                                 "n_grid": [n]}).scenarios[0]
+        for t in range(trials):
+            H, x, e, w = _draw_trial(scen, derive_seed(7, n, t))
+            yield H.entries, H.entries @ x + e + w
+
+
+def large_n_instances():
+    """``TestLargeN``'s consistency trials, n = 3000 and 30000."""
+    for n, trials in ((3000, 3), (30000, 2)):
+        for t in range(trials):
+            H, y = preset_trial("gaussian", n, t)
+            yield H.entries, y
+
+
+def band_route_instances():
+    """The ``TestBandStage`` cases whose band is accepted, repaired or not."""
+    for draw, route in TestBandStage.CASES.values():
+        if route in ("accepted", "repaired"):
+            H, y = draw()
+            yield getattr(H, "entries", H), y
+
+
+class TestDual:
+    """An optimal LAD estimate carries the dual u its simplex stopped on, and
+    u certifies it: |u| <= 1 + OPT_TOL, H'u = 0 and y'u = ||r||_1, the last
+    two up to rounding.  The bounds are about three times the largest values
+    measured over these instances (max|u| - 1 at most 4.4e-16,
+    ||H'u||_inf 2.3 eps times the largest column l1 norm, and
+    |y'u - ||r||_1| 21 eps times |y|'|u|, which covers the objectives that
+    are themselves rounding)."""
+
+    FAMILIES = {
+        "small-scale": small_scale_instances,
+        "power-of-two": power_of_two_instances,
+        "decimal": decimal_instances,
+        "noiseless-pm1": lambda: noiseless_sweep("bernoulli_pm1"),
+        "noiseless-gaussian": lambda: noiseless_sweep("gaussian"),
+        "large-n": large_n_instances,
+        "band-route": band_route_instances,
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_dual_certifies_every_optimal_estimate(self, family):
+        eps = np.finfo(float).eps
+        for H, y in self.FAMILIES[family]():
+            est = lad_estimate(H, y)
+            assert est.status == "optimal"
+            u = est.dual
+            assert u.shape == y.shape
+            assert np.abs(u).max() <= 1.0 + ladsysid.solver.OPT_TOL
+            assert np.abs(H.T @ u).max() <= 8.0 * eps * np.abs(H).sum(axis=0).max()
+            assert abs(est.objective - y @ u) <= 64.0 * eps * (np.abs(y) @ np.abs(u))
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_fallback_takes_its_fit_dual(self, monkeypatch, seed):
+        # the tiny sweep whose vertex checks reach solve_lp: every vertex
+        # check comes from a simplex run, and solve_lp takes its fit's own
+        # dual instead of checking the fit's last vertex again
+        stack, calls = [], []     # calls: (name, the wrapped calls it runs under)
+
+        def wrap(name):
+            inner = getattr(ladsysid.solver, name)
+
+            def called(*args, **kwargs):
+                calls.append((name, tuple(stack)))
+                stack.append(name)
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    stack.pop()
+            monkeypatch.setattr(ladsysid.solver, name, called)
+        for name in ("_simplex", "_certify_vertex", "solve_lp"):
+            wrap(name)
+        run_experiment(config_from_dict({"scenario": NOISELESS_PM1, "n_grid": [40, 100],
+                                         "trials_per_point": 5, "master_seed": seed}))
+        checks = [under for name, under in calls if name == "_certify_vertex"]
+        assert checks and all(under[-1] == "_simplex" for under in checks)
+        assert any(name == "solve_lp" for name, _ in calls)
+
+    def test_no_dual_without_an_optimal_lad_fit(self):
+        H = gauss_toeplitz(50, 3, seed=12)
+        y = H.entries @ np.ones(3) + np.arange(50) % 7
+        assert lad_estimate(H, y, max_iter=1).dual is None
+        assert ls_estimate(H, y).dual is None
+        assert lad_estimate(H, y).dual is not None
 
 
 class TestLsEstimate:
