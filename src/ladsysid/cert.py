@@ -25,6 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -512,6 +514,10 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     ``worst_gap``, the verdict and the witness are those of scoring every
     direction.  The draws are made a block at a time, and where a block ends
     decides only which batches are bounded: one stream yields the same values.
+    Each block after the first is drawn one block ahead, on a second thread,
+    while the one before it is scored (``_DrawsAhead``); it comes from the
+    same stream in the same order, so it holds the values the loop would
+    have drawn, and only the time of the draw moves.
 
     The slack, for a normalized z.  Let u = eps/2, g_k = k u / (1 - k u), T
     and on the total and K sum a full scoring computes, and M(z) = sum_ij
@@ -568,34 +574,102 @@ def certify_support_mc(H, K, trials: int, seed: int) -> SupportCert:
     bound = None               # a _ProbeBound while bounding pays
     first = []                 # the first block's scores, for the probes
     most = max(1, _BLOCK_ENTRIES // max(m, _PROBES, idx.size))
-    for j, block in enumerate(_blocks(sizes, _PROBES, most)):
-        Zb = rng.standard_normal((sum(block), m))
-        keep = bound.survivors(Zb, worst, buf) if bound else None
-        start = 0
-        for b in block:
-            Z = Zb[start:start + b]
-            rows = np.arange(b) if keep is None else keep[start:start + b].nonzero()[0]
-            start += b
-            if not rows.size:
-                continue
-            if 4 * rows.size > b:
-                rows = slice(None)
-            _normalize(Z, rows)
-            on, total = _abs_sums(Z, A, buf, idx, slice(None), rows)
-            gaps = total - 2.0 * on
-            scores = np.where(on > 1e-300, gaps / np.maximum(on, 1e-300), gaps)
-            if j == 0:
-                first.append(scores)
-            worst, worst_z = _first_least(scores, Z[rows], worst, worst_z)
-        if j == 0 and idx.size and n > _PROBES and trials - Zb.shape[0] >= 16 * _PROBES:
-            bound = _ProbeBound(A, idx, Zb, np.concatenate(first))
-        elif j == 1 and keep is None:
-            bound = None       # the bound does not pay on this input
+    blocks = _blocks(sizes, _PROBES, most)
+    with _DrawsAhead(rng, [(sum(block), m) for block in blocks]) as draws:
+        for j, (block, Zb) in enumerate(zip(blocks, draws)):
+            keep = bound.survivors(Zb, worst, buf) if bound else None
+            start = 0
+            for b in block:
+                Z = Zb[start:start + b]
+                rows = np.arange(b) if keep is None else keep[start:start + b].nonzero()[0]
+                start += b
+                if not rows.size:
+                    continue
+                if 4 * rows.size > b:
+                    rows = slice(None)
+                _normalize(Z, rows)
+                on, total = _abs_sums(Z, A, buf, idx, slice(None), rows)
+                gaps = total - 2.0 * on
+                scores = np.where(on > 1e-300, gaps / np.maximum(on, 1e-300), gaps)
+                if j == 0:
+                    first.append(scores)
+                worst, worst_z = _first_least(scores, Z[rows], worst, worst_z)
+            if j == 0 and idx.size and n > _PROBES and trials - Zb.shape[0] >= 16 * _PROBES:
+                bound = _ProbeBound(A, idx, Zb, np.concatenate(first))
+            elif j == 1 and keep is None:
+                bound = None       # the bound does not pay on this input
 
     if worst <= 0.0:
         return SupportCert(_support_tuple(idx), "falsified", worst, "mc", trials,
                            witness=worst_z)
     return SupportCert(_support_tuple(idx), "unfalsified", worst, "mc", trials)
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+class _DrawsAhead:
+    """The falsifier's blocks of Gaussian draws, of the shapes ``shapes``,
+    from the one stream ``rng`` in order, each drawn one block ahead.
+
+    Iterating draws the first block in the calling thread, then starts one
+    worker thread that draws each later block while the caller scores the
+    one before it.  The worker draws block j + 1 only once block j is taken,
+    so it is never more than one block ahead, and numpy's Gaussian fill
+    releases the GIL, so drawing and scoring overlap.  One block, or a
+    process that may run on one CPU only, starts no thread and the caller
+    draws every block: on one CPU nothing overlaps, and the handoffs cost
+    about 9% of the analysis benchmark's call (one core of a 2-core x86-64
+    host).  An error raised by a draw is raised in the caller when it takes
+    that block; leaving the ``with`` block stops the worker and joins it.
+    """
+
+    def __init__(self, rng, shapes):
+        self._rng, self._shapes = rng, shapes
+        self._asked, self._ready = threading.Semaphore(1), threading.Semaphore(0)
+        self._slot = None          # the block drawn ahead, or the error its draw raised
+        self._stop = False
+        self._thread = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._thread is not None:
+            self._stop = True
+            self._asked.release()
+            self._thread.join()
+
+    def __iter__(self):
+        if len(self._shapes) == 1 or _cpus() < 2:
+            yield from (self._rng.standard_normal(shape) for shape in self._shapes)
+            return
+        block = self._rng.standard_normal(self._shapes[0])
+        self._thread = threading.Thread(target=self._draw_rest, name="ladsysid-draws")
+        self._thread.start()
+        yield block
+        for _ in self._shapes[1:]:
+            self._ready.acquire()
+            block = self._slot
+            if isinstance(block, BaseException):
+                raise block
+            self._asked.release()
+            yield block
+
+    def _draw_rest(self):
+        try:
+            for shape in self._shapes[1:]:
+                self._asked.acquire()
+                if self._stop:
+                    return
+                self._slot = self._rng.standard_normal(shape)
+                self._ready.release()
+        except BaseException as exc:       # raised in the caller, which takes it
+            self._slot = exc
+            self._ready.release()
 
 
 def _normalize(Z, rows=slice(None)):

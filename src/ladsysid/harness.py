@@ -27,7 +27,7 @@ from typing import Optional, Sequence, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, LadSysIdError, SpecError
-from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec, _coerce, _count,
+from .matgen import (InputDist, Magnitude, NoiseSpec, OutlierSpec, _coerce, _count, _real,
                      build_regressor, derive_seed, rng_from_seed, sample_input,
                      sample_noise, sample_outliers)
 from .solver import l2_norm, lad_estimate, ls_estimate
@@ -65,7 +65,11 @@ _ESTIMATORS = {"lad": lad_estimate, "ls": ls_estimate}
 
 @dataclass(frozen=True)
 class XSource:
-    """True-parameter source: a fresh standard Gaussian draw or a fixed vector."""
+    """True-parameter source: a fresh standard Gaussian draw or a fixed vector.
+
+    The fixed vector must be real (a complex one is a DimensionError) and
+    finite (a NaN or infinite entry is a SpecError).
+    """
 
     kind: str                       # gaussian_random | fixed
     vector: Optional[tuple] = None
@@ -76,8 +80,10 @@ class XSource:
         if self.kind == "fixed" and self.vector is None:
             raise SpecError("fixed x source requires a vector")
         if self.vector is not None:
-            object.__setattr__(self, "vector",
-                               tuple(float(v) for v in np.atleast_1d(self.vector)))
+            vector = np.atleast_1d(_real("vector", self.vector))
+            if not np.isfinite(vector).all():
+                raise SpecError("fixed x vector must be finite (found NaN or inf)")
+            object.__setattr__(self, "vector", tuple(float(v) for v in vector))
 
     @classmethod
     def gaussian_random(cls) -> "XSource":

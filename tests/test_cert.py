@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -392,7 +394,115 @@ class TestNonFiniteH:
             call(H)
 
 
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 class TestMcCertifier:
+    #: 1,310 directions a batch at n = 100, and a block holds one batch, so
+    #: ``TRIALS`` directions make 8 blocks
+    H100 = gauss_toeplitz(100, 3, seed=21)
+    TRIALS = 10_000
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The Threads the test constructs, with two CPUs to run on whatever
+        the host has."""
+        made = []
+
+        class Counted(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.setattr(ladsysid.cert, "_cpus", lambda: 2)
+        return made
+
+    @pytest.mark.parametrize("K", [[], [1, 2, 3]], ids=["scored-whole", "bounded"])
+    def test_draws_ahead_keep_the_bits(self, threads, monkeypatch, K):
+        before = threading.active_count()
+        ahead = certify_support_mc(self.H100, K, trials=self.TRIALS, seed=2)
+        assert len(threads) == 1 and threading.active_count() == before
+        monkeypatch.setattr(ladsysid.cert, "_cpus", lambda: 1)
+        inline = certify_support_mc(self.H100, K, trials=self.TRIALS, seed=2)
+        assert len(threads) == 1          # one CPU: the caller draws every block
+        worst, _ = mc_batched_reference(self.H100, K, self.TRIALS, seed=2)
+        assert ahead.worst_gap == inline.worst_gap == worst
+        assert ahead.verdict == inline.verdict
+
+    def test_one_block_starts_no_thread(self, threads):
+        H = gauss_toeplitz(20, 2, seed=5)
+        cert = certify_support_mc(H, [0, 3], trials=200, seed=9)
+        assert threads == [] and cert.work == 200
+
+    def test_error_while_scoring_joins_the_worker(self, threads, monkeypatch):
+        inner, calls = ladsysid.cert._abs_sums, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ZeroDivisionError("third batch")
+            return inner(*args)
+        monkeypatch.setattr(ladsysid.cert, "_abs_sums", failing)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="third batch"):
+            certify_support_mc(self.H100, [], trials=self.TRIALS, seed=2)
+        assert len(threads) == 1 and threading.active_count() == before
+
+    def test_error_while_drawing_reaches_the_caller(self, threads, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        drawn_by, scored_after = [], []
+
+        class Failing(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                drawn_by.append(threading.current_thread())
+                if len(drawn_by) == 3:
+                    raise DrawError("third block")
+                return super().standard_normal(*args, **kwargs)
+
+        inner = ladsysid.cert._abs_sums
+
+        def recorded(*args):
+            scored_after.append(len(drawn_by))
+            return inner(*args)
+        monkeypatch.setattr(ladsysid.cert, "rng_from_seed",
+                            lambda seed: Failing(np.random.PCG64(seed)))
+        monkeypatch.setattr(ladsysid.cert, "_abs_sums", recorded)
+        before = threading.active_count()
+        with pytest.raises(DrawError, match="third block"):
+            certify_support_mc(self.H100, [], trials=self.TRIALS, seed=2)
+        assert threading.active_count() == before
+        # the caller draws block 0, the worker every later one, and while
+        # block j is scored no block past j + 1 has been drawn
+        assert drawn_by[0] is threading.current_thread()
+        assert len(threads) == 1 and drawn_by[1:] == [threads[0]] * 2
+        assert scored_after[:2] and all(d <= j + 2 for j, d in enumerate(scored_after))
+
+    def test_concurrent_calls_keep_their_draws(self, monkeypatch):
+        # four calls at once, each with its own worker: eight threads, more
+        # than a small host has cores, and a switch interval short enough to
+        # interleave every handoff
+        monkeypatch.setattr(ladsysid.cert, "_cpus", lambda: 1)
+        inline = [certify_support_mc(self.H100, [1, 2, 3], trials=self.TRIALS, seed=s)
+                  for s in range(4)]
+        monkeypatch.setattr(ladsysid.cert, "_cpus", lambda: 2)
+        got = [None] * 4
+
+        def call(s):
+            got[s] = certify_support_mc(self.H100, [1, 2, 3], trials=self.TRIALS, seed=s)
+        callers = [threading.Thread(target=call, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert [(c.verdict, c.worst_gap) for c in got] == [
+            (c.verdict, c.worst_gap) for c in inline]
+
     def test_deterministic(self):
         H = gauss_toeplitz(20, 2, seed=5)
         a = certify_support_mc(H, [0, 3], trials=500, seed=9)

@@ -203,6 +203,12 @@ class TestScenarioValidation:
         with pytest.raises(SpecError, match="requires a vector"):
             XSource("fixed")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fixed_vector_must_be_finite(self, bad):
+        # a NaN entry used to be kept, and every trial then recorded an error
+        with pytest.raises(SpecError, match="must be finite"):
+            XSource.fixed([bad, 1.0])
+
     def test_unknown_consistency_noise(self):
         with pytest.raises(ConfigError, match="noise kind"):
             consistency_scenario("cauchy", 100)
@@ -541,6 +547,12 @@ class TestConfigFiles:
             assert spec.k == 3 and type(spec.k) is int
         with pytest.raises(ConfigError, match="integer"):
             config_from_dict(scenario_dict(outliers={"count_model": "fixed", "k": 3.5}))
+
+    @pytest.mark.parametrize("vector", [[1 + 1j, 2.0], [float("nan"), 1.0]],
+                             ids=["complex", "nan"])
+    def test_bad_fixed_vector_is_config_error(self, vector):
+        with pytest.raises(ConfigError, match="must be (real|finite)"):
+            config_from_dict(scenario_dict(x_source={"kind": "fixed", "vector": vector}))
 
     def test_fields_are_coerced(self):
         scen = config_from_dict(scenario_dict(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ladsysid import (DimensionError, InputDist, Magnitude, NoiseSpec,
-                      OutlierSpec, SpecError, balance_gap, build_regressor,
+                      OutlierSpec, SpecError, XSource, balance_gap, build_regressor,
                       certify_support_exact, certify_support_mc,
                       concentration_diagnostic, empirical_recovery_rate,
                       lad_estimate, ls_estimate, sample_input, sample_noise,
@@ -342,6 +342,7 @@ class TestComplexInput:
         "concentration_diagnostic z": (lambda a: concentration_diagnostic(
             14, 2, a, trials=2, seed=1), np.array([0.6, 0.8])),
         "build_regressor h": (lambda a: build_regressor(a, 10, 3), np.arange(12.0)),
+        "XSource.fixed vector": (XSource.fixed, np.array([1.0, 2.0])),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
