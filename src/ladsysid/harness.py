@@ -67,8 +67,9 @@ _ESTIMATORS = {"lad": lad_estimate, "ls": ls_estimate}
 class XSource:
     """True-parameter source: a fresh standard Gaussian draw or a fixed vector.
 
-    The fixed vector must be real (a complex one is a DimensionError) and
-    finite (a NaN or infinite entry is a SpecError).
+    The fixed vector must be real (a complex one is a DimensionError), and
+    one-dimensional (a scalar is the vector of one entry) and finite, or it
+    is a SpecError.
     """
 
     kind: str                       # gaussian_random | fixed
@@ -81,6 +82,9 @@ class XSource:
             raise SpecError("fixed x source requires a vector")
         if self.vector is not None:
             vector = np.atleast_1d(_real("vector", self.vector))
+            if vector.ndim != 1:
+                raise SpecError(
+                    f"fixed x vector must be one-dimensional, got shape {vector.shape}")
             if not np.isfinite(vector).all():
                 raise SpecError("fixed x vector must be finite (found NaN or inf)")
             object.__setattr__(self, "vector", tuple(float(v) for v in vector))

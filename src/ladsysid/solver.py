@@ -51,7 +51,10 @@ masked copy; the one product sigma * hd both selects the rows that cross zero
 and the breakpoints come from one full-length divide.  The initial basis is one
 pivoted QR by LAPACK ``geqp3``, without forming Q, retried on power-of-two
 scaled columns only when its rank test fails.  None of this changes a
-rounding: the estimates are bit for bit those of a full sort per pivot.
+rounding: on a matrix of one layout the estimates are bit for bit those of
+a full sort per pivot.  The products run on A in the layout the solve is
+handed: the caller's for the full simplex, column-major for the band
+stage's pilot and band solves (below).
 
 At large n, ``lad_estimate`` first tries a band of rows (Portnoy & Koenker,
 "The Gaussian hare and the Laplacian tortoise", Statistical Science 12(4),
@@ -87,6 +90,20 @@ typed error or LinAlgError, the full simplex runs from the geqp3 basis of all
 n rows, as it did without the band stage.  ``Estimate.iterations`` counts
 the pilot's and every band solve's pivots on the band route, and the full
 simplex's otherwise.
+
+The pilot and every band solve, repairs included, run on their rows
+gathered into a column-major (Fortran-order) array, where each pivot's three
+products take BLAS's long-vector kernels instead of one short dot product
+per row (one OpenBLAS thread, 2-core x86-64 host, a 6,477-row band: 7.2
+against 15.0 us for ``A @ d`` and 5.8 against 16.2 us for ``A.T @ sigma``).
+Those products round differently from the C-ordered ones, but nothing of the
+band path reaches x, the residuals or the objective except B, which (a)-(c)
+fix: a path that rounds differently reaches the same B or declines to the
+full simplex.  Only ``Estimate.iterations`` (when a tie falls the other way)
+and the band rows of ``Estimate.dual`` depend on the layout; on 76
+consistency-sweep instances (n = 3,000 to 30,000) the pivots were the same
+and the dual moved by at most 5e-12.  The full simplex, the accept test and
+every product over all n rows use the caller's A.
 
 Each pivot solves three m x m systems (the prices, the edge direction and the
 new vertex) with ``_native.solve``, inside one ``SOLVE_ERRSTATE`` per
@@ -650,6 +667,13 @@ def _subsample_rows(n: int, m: int) -> np.ndarray | None:
     return np.arange(size) * n // size
 
 
+def _gather(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A's ``rows``, in order, as a column-major (Fortran-order) array:
+    ``take`` into C order and one transposing copy, faster than fancy indexing
+    and than ``take`` into a Fortran-ordered ``out``."""
+    return A.take(rows, axis=0).copy(order="F")
+
+
 def _vertex_fault(A: np.ndarray, basis: np.ndarray, r: np.ndarray,
                   ztol: float) -> str | None:
     """None when the vertex is the unique, nondegenerate LAD optimum of (A, y)
@@ -687,6 +711,14 @@ def _band_stage(A: np.ndarray, y: np.ndarray, rows: np.ndarray, ztol: float,
     computed from B by the same calls as the full simplex's.  ``max_iter``
     caps the pilot's and every band solve's pivots together.
 
+    The pilot and every band solve run on column-major row gathers
+    (``_gather``), where the three n x m products of each pivot take the
+    long-vector BLAS kernels.  Their sums round differently from those over
+    C-ordered rows, so a band path may take another pivot on a tie, and the
+    band rows of the dual, the solve's -lambda on B, move by rounding; x, r
+    and the objective depend only on B, which the accept test fixes.  The
+    accept test and the products over all n rows use A as given.
+
     Runs inside the caller's ``SOLVE_ERRSTATE``; a typed error or LinAlgError
     declines.  A pilot that reaches its optimum within the cap declines, as
     ``subsample degenerate`` or ``subsample non-strict``, when that optimum
@@ -698,7 +730,7 @@ def _band_stage(A: np.ndarray, y: np.ndarray, rows: np.ndarray, ztol: float,
     n, m = A.shape
     width = _BAND_MULTIPLE * rows.size
     try:
-        A_s, y_s = A[rows], y[rows]
+        A_s, y_s = _gather(A, rows), y[rows]
         lead = np.abs(A_s[:, 0])
         if (lead == lead[0]).all():
             return "one magnitude"
@@ -718,7 +750,7 @@ def _band_stage(A: np.ndarray, y: np.ndarray, rows: np.ndarray, ztol: float,
         g0 = A.T @ fold
         pivots = pilot.iterations
         while True:
-            fit = _simplex(A[band], y[band], np.searchsorted(band, basis), ztol,
+            fit = _simplex(_gather(A, band), y[band], np.searchsorted(band, basis), ztol,
                            max_iter - pivots, g0=g0)
             pivots += fit.iterations
             if fit.status != "optimal":

@@ -209,6 +209,16 @@ class TestScenarioValidation:
         with pytest.raises(SpecError, match="must be finite"):
             XSource.fixed([bad, 1.0])
 
+    @pytest.mark.parametrize("vector", [[[1.0, 2.0]], [[1.0], [2.0]]], ids=["row", "column"])
+    def test_fixed_vector_must_be_one_dimensional(self, vector):
+        # a matrix used to reach float() and die with numpy's TypeError
+        message = f"must be one-dimensional, got shape {np.shape(vector)}"
+        with pytest.raises(SpecError, match=re.escape(message)):
+            XSource.fixed(vector)
+
+    def test_fixed_scalar_is_a_vector_of_one(self):
+        assert XSource.fixed(1.0).vector == (1.0,)
+
     def test_unknown_consistency_noise(self):
         with pytest.raises(ConfigError, match="noise kind"):
             consistency_scenario("cauchy", 100)
@@ -548,10 +558,11 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="integer"):
             config_from_dict(scenario_dict(outliers={"count_model": "fixed", "k": 3.5}))
 
-    @pytest.mark.parametrize("vector", [[1 + 1j, 2.0], [float("nan"), 1.0]],
-                             ids=["complex", "nan"])
+    @pytest.mark.parametrize("vector", [[1 + 1j, 2.0], [float("nan"), 1.0], [[1.0, 2.0]],
+                                        [[1.0], [2.0]]],
+                             ids=["complex", "nan", "row", "column"])
     def test_bad_fixed_vector_is_config_error(self, vector):
-        with pytest.raises(ConfigError, match="must be (real|finite)"):
+        with pytest.raises(ConfigError, match="must be (real|finite|one-dimensional)"):
             config_from_dict(scenario_dict(x_source={"kind": "fixed", "vector": vector}))
 
     def test_fields_are_coerced(self):

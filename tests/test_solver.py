@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import warnings
@@ -502,7 +503,7 @@ class TestBandStage:
         H, y = preset_trial("gaussian", 30000, 1)
         rows = ladsysid.solver._subsample_rows(30000, 5)
         with np.errstate(**ladsysid.solver.SOLVE_ERRSTATE):
-            A_s = H.entries[rows]
+            A_s = ladsysid.solver._gather(H.entries, rows)
             ztol = ladsysid.solver.ZERO_TOL * float(np.abs(y).max())
             converged = ladsysid.solver._simplex(
                 A_s, y[rows], ladsysid.solver._initial_basis(A_s), ztol, 10**6)
@@ -515,6 +516,46 @@ class TestBandStage:
         assert runs[0] == (rows.size, "iteration_limit", 13)
         assert est.x_hat.tobytes() == full.x_hat.tobytes()
         assert est.residuals.tobytes() == full.residuals.tobytes()
+
+    @pytest.mark.parametrize("case,layouts", [
+        ("gaussian-30000", ["F"] * 3), ("gaussian-3000", ["F"] * 2),
+        ("noisy-pm1-10000", ["H"]), ("gaussian-2418", ["F", "F", "H"])])
+    def test_band_solves_run_column_major(self, monkeypatch, case, layouts):
+        # the pilot and every band solve, repairs included, get column-major
+        # ("F") rows; the full simplex, whose path fixes the output, gets H's
+        # C-ordered entries themselves ("H")
+        draw, _ = self.CASES[case]
+        H, y = draw()
+        entries = getattr(H, "entries", H)
+        assert entries.flags.c_contiguous
+        seen = []
+        inner = ladsysid.solver._simplex
+
+        def recorded(A, *args, **kwargs):
+            seen.append("H" if A is entries else
+                        "F" if A.flags.f_contiguous and not A.flags.c_contiguous else "C")
+            return inner(A, *args, **kwargs)
+        monkeypatch.setattr(ladsysid.solver, "_simplex", recorded)
+        lad_estimate(H, y)
+        assert seen == layouts
+
+    @pytest.mark.parametrize("master_seed", [0, 1])
+    def test_sweep_rows_match_the_full_simplex(self, monkeypatch, master_seed):
+        # the CI consistency sweep (master seed 0, a repair among its routes)
+        # and the benchmark's seed: every trial row but wall_ms is the full
+        # simplex's
+        def rows():
+            result = run_experiment(config_from_dict({
+                "builtin": "consistency_gaussian", "n_grid": [3000, 30000],
+                "trials_per_point": 2, "master_seed": master_seed}))
+            return [dataclasses.replace(row, wall_ms=None) for row in result.rows]
+        with monkeypatch.context() as patched:
+            patched.setattr(ladsysid.solver, "_band_stage", lambda *args: "disabled")
+            full = rows()
+        routes = band_routes(monkeypatch)
+        banded = rows()
+        assert routes == {0: ["accepted"] * 3 + ["repaired"], 1: ["accepted"] * 4}[master_seed]
+        assert banded == full
 
     def test_repair_declines_at_the_bound(self, monkeypatch):
         # n = 2418 is the smallest n that engages: the band holds n / 2 rows,
